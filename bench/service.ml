@@ -2,7 +2,9 @@
 
      dune exec bench/service.exe -- --shards 4 --ops 200 --crash 2 --jobs 8
 
-   Rows cover mode x mix; the table is byte-identical at any --jobs. *)
+   Rows cover mode x mix; the table is byte-identical at any --jobs.
+   Oracle violations are listed after the table and make the exit
+   status non-zero. *)
 
 let () =
   let shards = ref 2 in
@@ -108,34 +110,34 @@ let () =
      [--noisy] [--hot-key] [--tenants N] [--cores N] [--quantum N] [--skew S] \
      [--hot-txns N] [--steal on|off|both] [--period N] [--jobs N]";
   let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
-  if !recovery then
-    print_string
-      (Capri_bench.Service_bench.recovery_table ~jobs ~shards:(max 1 !shards)
-         ~keys:(max 1 !keys) ~ops:(max 1 !ops) ~factors:[ 1; 2; 5; 10 ]
-         ~interval:(max 1 !compact) ~recovery_jobs:(max 1 !recovery_jobs))
-  else if !rolling then
-    print_string
-      (Capri_bench.Service_bench.rolling_table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~crashes:(max 0 !crashes) ~period:(max 1 !period))
-  else if !noisy then begin
-    let variants =
-      match !steal with
-      | "on" -> [ true ]
-      | "off" -> [ false ]
-      | _ -> [ false; true ]
-    in
-    print_string
-      (Capri_bench.Service_bench.noisy_table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
-         ~tenants:(max 2 !tenants) ~skew:!skew ~period:(max 1 !period)
-         ~variants)
-  end
-  else if !hot_key then
-    print_string
-      (Capri_bench.Service_bench.hot_table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
-         ~tenants:(max 2 !tenants) ~skew:!skew ~hot_txns:(max 1 !hot_txns))
-  else
-    print_string
-      (Capri_bench.Service_bench.table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~crashes:(max 0 !crashes) ~txns:(max 0 !txns))
+  let module B = Capri_bench.Service_bench in
+  let out =
+    if !recovery then
+      B.recovery_table ~jobs ~shards:(max 1 !shards) ~keys:(max 1 !keys)
+        ~ops:(max 1 !ops) ~factors:[ 1; 2; 5; 10 ] ~interval:(max 1 !compact)
+        ~recovery_jobs:(max 1 !recovery_jobs)
+    else if !rolling then
+      B.rolling_table ~jobs ~shards:(max 1 !shards) ~ops:(max 1 !ops)
+        ~crashes:(max 0 !crashes) ~period:(max 1 !period)
+    else if !noisy then begin
+      let variants =
+        match !steal with
+        | "on" -> [ true ]
+        | "off" -> [ false ]
+        | _ -> [ false; true ]
+      in
+      B.noisy_table ~jobs ~shards:(max 1 !shards) ~ops:(max 1 !ops)
+        ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
+        ~tenants:(max 2 !tenants) ~skew:!skew ~period:(max 1 !period)
+        ~variants
+    end
+    else if !hot_key then
+      B.hot_table ~jobs ~shards:(max 1 !shards) ~ops:(max 1 !ops)
+        ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
+        ~tenants:(max 2 !tenants) ~skew:!skew ~hot_txns:(max 1 !hot_txns)
+    else
+      B.table ~jobs ~shards:(max 1 !shards) ~ops:(max 1 !ops)
+        ~crashes:(max 0 !crashes) ~txns:(max 0 !txns)
+  in
+  print_string out.B.text;
+  if out.B.violations > 0 then exit 1

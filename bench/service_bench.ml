@@ -7,8 +7,9 @@
    Trials are seed-pure and fan out over the Pool in input order, so the
    rendered table is byte-identical at any --jobs count (enforced by
    service_smoke as part of `dune runtest`). Every trial also holds the
-   acked-durability oracle; a violation aborts the benchmark rather than
-   report numbers for a broken store. *)
+   acked-durability oracle. A violation is counted and listed after the
+   table, and the caller exits non-zero on it: an exception escaping the
+   Pool would hide every other trial's verdict. *)
 
 module Arch = Capri_arch
 module Svc = Capri_service
@@ -23,10 +24,34 @@ let modes =
 
 let mixes = [ Svc.Client.A; Svc.Client.B; Svc.Client.C ]
 
+(* A rendered table and the number of oracle violations listed under it. *)
+type output = { text : string; violations : int }
+
+(* A trial's oracle verdict: [None], or the violation rendered with the
+   trial it came from. *)
+let verdict trial t outcome =
+  match Svc.Server.check t outcome with
+  | Ok () -> None
+  | Error v -> Some (Format.asprintf "%s: %a" trial Svc.Sla.pp_violation v)
+
+let output text verdicts =
+  match List.filter_map Fun.id verdicts with
+  | [] -> { text; violations = 0 }
+  | vs ->
+    let n = List.length vs in
+    {
+      text =
+        text
+        ^ Printf.sprintf "oracle violations: %d\n" n
+        ^ String.concat "" (List.map (fun v -> "  " ^ v ^ "\n") vs);
+      violations = n;
+    }
+
 type row = {
   mode : Arch.Persist.mode;
   mix : Svc.Client.mix;
   stats : Svc.Sla.stats;
+  violation : string option;
 }
 
 let trial ~shards ~ops ~crashes ~txns (mode, mix) =
@@ -48,13 +73,16 @@ let trial ~shards ~ops ~crashes ~txns (mode, mix) =
     end
   in
   let outcome = Svc.Server.run ~crash_at:schedule t in
-  (match Svc.Server.check t outcome with
-  | Ok () -> ()
-  | Error v ->
-    failwith
-      (Format.asprintf "service bench: oracle violated: %a"
-         Svc.Sla.pp_violation v));
-  { mode; mix; stats = Svc.Server.stats t outcome }
+  let trial =
+    Printf.sprintf "service bench %s/%s" (Arch.Persist.mode_name mode)
+      (Svc.Client.mix_name mix)
+  in
+  {
+    mode;
+    mix;
+    stats = Svc.Server.stats t outcome;
+    violation = verdict trial t outcome;
+  }
 
 let rows ~jobs ~shards ~ops ~crashes ~txns =
   let cells =
@@ -94,7 +122,8 @@ let render rows =
   Table.render t
 
 let table ~jobs ~shards ~ops ~crashes ~txns =
-  render (rows ~jobs ~shards ~ops ~crashes ~txns)
+  let rows = rows ~jobs ~shards ~ops ~crashes ~txns in
+  output (render rows) (List.map (fun r -> r.violation) rows)
 
 (* ------------------- rolling-crash availability scenario ------------------- *)
 
@@ -118,6 +147,7 @@ type rolling_row = {
   r_stats : Svc.Sla.stats;
   report : Svc.Slo.report;
   timeline : string;  (* rendered windowed series *)
+  r_violation : string option;
 }
 
 let rolling_trial ~shards ~ops ~crashes ~period mode =
@@ -143,17 +173,13 @@ let rolling_trial ~shards ~ops ~crashes ~period mode =
     end
   in
   let outcome = Svc.Server.run ~crash_at:schedule t in
-  (match Svc.Server.check t outcome with
-  | Ok () -> ()
-  | Error v ->
-    failwith
-      (Format.asprintf "rolling bench: oracle violated: %a"
-         Svc.Sla.pp_violation v));
   {
     r_mode = mode;
     r_stats = Svc.Server.stats t outcome;
     report = Svc.Slo.report ~t outcome;
     timeline = Svc.Slo.render_timeline (Svc.Slo.timeline ~t outcome);
+    r_violation =
+      verdict ("rolling bench " ^ Arch.Persist.mode_name mode) t outcome;
   }
 
 let rolling_rows ~jobs ~shards ~ops ~crashes ~period =
@@ -198,7 +224,9 @@ let rolling_table ~jobs ~shards ~ops ~crashes ~period =
     | Some r -> "\ncapri timeline:\n" ^ r.timeline
     | None -> ""
   in
-  render_rolling rows ^ capri_timeline
+  output
+    (render_rolling rows ^ capri_timeline)
+    (List.map (fun r -> r.r_violation) rows)
 
 (* ------------------- recovery-at-scale scenario ------------------- *)
 
@@ -224,6 +252,7 @@ type recovery_row = {
   v_replayed : int;  (* redo/undo log records re-applied *)
   v_recovery_cycles : int;
   v_availability : float;
+  v_violation : string option;
 }
 
 (* Deterministic committed state: every key of every shard, with a
@@ -273,12 +302,9 @@ let recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs
   (* one crash at 90% of the reference run: almost all of the trial's
      history is already served and journaled when the power fails *)
   let outcome = Svc.Server.run ~crash_at:[ max 1 (total * 9 / 10) ] t in
-  (match Svc.Server.check t outcome with
-  | Ok () -> ()
-  | Error v ->
-    failwith
-      (Format.asprintf "recovery bench: oracle violated: %a"
-         Svc.Sla.pp_violation v));
+  let trial =
+    Printf.sprintf "recovery bench compact=%b x%d" compact factor
+  in
   let s = Svc.Server.stats t outcome in
   {
     v_compact = compact;
@@ -289,6 +315,7 @@ let recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs
     v_replayed = outcome.Svc.Server.recovery_replayed;
     v_recovery_cycles = outcome.Svc.Server.recovery_cycles;
     v_availability = s.Svc.Sla.availability;
+    v_violation = verdict trial t outcome;
   }
 
 let recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs =
@@ -332,8 +359,12 @@ let render_recovery ~keys ~interval rows =
   ^ Table.render t
 
 let recovery_table ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs =
-  render_recovery ~keys ~interval
-    (recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs)
+  let rows =
+    recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs
+  in
+  output
+    (render_recovery ~keys ~interval rows)
+    (List.map (fun r -> r.v_violation) rows)
 
 (* ------------------- noisy-neighbor multi-tenant scenario ------------------- *)
 
@@ -354,6 +385,7 @@ type noisy_row = {
   n_worst_depth : int;  (* peak queue depth of the worst shard *)
   n_steals : int;
   n_migrations : int;
+  n_violation : string option;
 }
 
 let noisy_trial ~shards ~ops ~cores ~quantum ~tenants ~skew ~period steal =
@@ -383,12 +415,6 @@ let noisy_trial ~shards ~ops ~cores ~quantum ~tenants ~skew ~period steal =
   in
   let t = Svc.Server.plan cfg in
   let outcome = Svc.Server.run t in
-  (match Svc.Server.check t outcome with
-  | Ok () -> ()
-  | Error v ->
-    failwith
-      (Format.asprintf "noisy bench: oracle violated: %a" Svc.Sla.pp_violation
-         v));
   let views, _headers = Svc.Server.views t outcome in
   let worst = ref 0 in
   for s = 0 to shards - 1 do
@@ -405,6 +431,7 @@ let noisy_trial ~shards ~ops ~cores ~quantum ~tenants ~skew ~period steal =
     n_worst_depth = !worst;
     n_steals = Svc.Server.steals t outcome;
     n_migrations = List.length (Svc.Server.migrations t outcome);
+    n_violation = verdict (Printf.sprintf "noisy bench steal=%b" steal) t outcome;
   }
 
 let noisy_rows ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~period
@@ -459,9 +486,11 @@ let render_noisy rows =
 
 let noisy_table ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~period
     ~variants =
-  render_noisy
-    (noisy_rows ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~period
-       ~variants)
+  let rows =
+    noisy_rows ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~period
+      ~variants
+  in
+  output (render_noisy rows) (List.map (fun r -> r.n_violation) rows)
 
 (* ------------------- contended hot-key scenario ------------------- *)
 
@@ -477,6 +506,7 @@ type hot_row = {
   h_label : string;
   h_stats : Svc.Sla.stats;
   h_steals : int;
+  h_violation : string option;
 }
 
 let hot_trial ~shards ~ops ~tenants ~skew ~hot_txns (label, sched) =
@@ -493,16 +523,11 @@ let hot_trial ~shards ~ops ~tenants ~skew ~hot_txns (label, sched) =
   in
   let t = Svc.Server.plan cfg in
   let outcome = Svc.Server.run t in
-  (match Svc.Server.check t outcome with
-  | Ok () -> ()
-  | Error v ->
-    failwith
-      (Format.asprintf "hot-key bench: oracle violated: %a"
-         Svc.Sla.pp_violation v));
   {
     h_label = label;
     h_stats = Svc.Server.stats t outcome;
     h_steals = Svc.Server.steals t outcome;
+    h_violation = verdict ("hot-key bench " ^ label) t outcome;
   }
 
 let hot_variants ~cores ~quantum =
@@ -546,5 +571,7 @@ let render_hot rows =
   Table.render t
 
 let hot_table ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~hot_txns =
-  render_hot
-    (hot_rows ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~hot_txns)
+  let rows =
+    hot_rows ~jobs ~shards ~ops ~cores ~quantum ~tenants ~skew ~hot_txns
+  in
+  output (render_hot rows) (List.map (fun r -> r.h_violation) rows)

@@ -7,7 +7,18 @@
 
 module Slo = Capri_service.Slo
 
+(* A scenario's rendered text, after requiring that no trial violated the
+   oracle. *)
+let text what (out : Capri_bench.Service_bench.output) =
+  if out.violations > 0 then begin
+    Printf.eprintf "service-smoke: %s: %d oracle violations\n%s" what
+      out.violations out.text;
+    exit 1
+  end;
+  out.text
+
 let check_identical what seq par =
+  let seq = text what seq and par = text what par in
   if seq <> par then begin
     Printf.eprintf "service-smoke: parallel %s differs from sequential:\n" what;
     prerr_endline "--- jobs=1 ---";
@@ -24,7 +35,7 @@ let () =
   let seq = table 1 in
   check_identical "table" seq (table 4);
   (* Sanity: all fifteen mode x mix rows rendered. *)
-  let lines = String.split_on_char '\n' seq in
+  let lines = String.split_on_char '\n' (text "table" seq) in
   assert (List.length (List.filter (fun l -> l <> "") lines) >= 15);
   (* Rolling-crash scenario: byte-identical at any --jobs, and every
      recoverable mode must report at least one measured unavailability
@@ -131,6 +142,19 @@ let () =
     assert (outcome pinned = outcome steal_on);
     assert (fst (outcome pinned) + snd (outcome pinned) = 6)
   | _ -> assert false);
+  (* A broken store is reported, not raised: with participants skipping
+     the 2PC decision, aborted hot-key transactions get applied anyway,
+     and the table must count and list the violations after its rows. *)
+  let broken =
+    let knob = Capri_service.Kvstore.fault_skip_decision in
+    Atomic.set knob true;
+    Fun.protect ~finally:(fun () -> Atomic.set knob false) (fun () -> hot 2)
+  in
+  assert (broken.B.violations > 0);
+  assert (
+    List.mem
+      (Printf.sprintf "oracle violations: %d" broken.B.violations)
+      (String.split_on_char '\n' broken.B.text));
   print_endline
     "service-smoke: jobs=4 matches sequential (table + rolling + recovery + \
      noisy + hot-key)"

@@ -337,14 +337,26 @@ let dedup_in_region f (region : Region_map.region) =
     members;
   !removed
 
+(* Loop facts are computed once per function, before any region is
+   sunk. Sinking only splits exit edges u -> v of the region R being
+   processed, and the split block joins R. An edge split creates no back
+   edge and moves no loop header, so a later region R' sees the same
+   loops except that a body may gain split blocks of R. Such a body
+   already held u, which is in R, so it was never inside R'. Hence
+   [instance_loops] for R' and the in-loop test over the members of R' give
+   the same answers as a fresh [Loops.compute]. *)
 let run (options : Options.t) (program : Program.t) (map : Region_map.t) =
   let hoisted = ref 0 in
   let deduped = ref 0 in
+  let loops =
+    List.map (fun f -> (Func.name f, Loops.compute f)) program.Program.funcs
+  in
   List.iter
     (fun (region : Region_map.region) ->
-      let f = Program.find_func program region.Region_map.func in
-      let loops = Loops.compute f in
-      hoisted := !hoisted + sink_in_region options map f loops region)
+      let name = region.Region_map.func in
+      let f = Program.find_func program name in
+      hoisted :=
+        !hoisted + sink_in_region options map f (List.assoc name loops) region)
     (Region_map.regions map);
   List.iter
     (fun (region : Region_map.region) ->

@@ -287,15 +287,13 @@ let restrict_requests (t : Svc.Server.t) units keep =
         Array.of_list (List.rev !out))
       kv.Svc.Kvstore.requests
   in
-  let kv' =
+  let kv', compiled =
     (* keep the scheduler shape: a violation found under stealing must
        shrink under stealing, not silently revert to pinned serving *)
-    Svc.Kvstore.build ?sched:kv.Svc.Kvstore.sched ~batch:kv.Svc.Kvstore.batch
-      ~txns:txns' ~key_space:kv.Svc.Kvstore.key_space ~requests:requests'
-      ~preload:kv.Svc.Kvstore.preload ()
-  in
-  let compiled =
-    Pipeline.compile t.Svc.Server.cfg.Svc.Server.options kv'.Svc.Kvstore.program
+    Svc.Server.build_store ?sched:kv.Svc.Kvstore.sched
+      ~batch:kv.Svc.Kvstore.batch ~txns:txns' ~preload:kv.Svc.Kvstore.preload
+      t.Svc.Server.cfg.Svc.Server.options ~key_space:kv.Svc.Kvstore.key_space
+      ~requests:requests'
   in
   { t with Svc.Server.kv = kv'; compiled }
 

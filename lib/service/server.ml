@@ -1,5 +1,6 @@
 module Arch = Capri_arch
 module Comp = Capri_compiler
+module Ir = Capri_ir
 module Runtime = Capri_runtime
 module Obs = Capri_obs.Obs
 module Metrics = Capri_obs.Metrics
@@ -72,6 +73,56 @@ let recovery_penalty (config : Arch.Config.t) ~blocks ~tails ~replayed =
     blocks;
   config.Arch.Config.power_cycle_cycles + !worst
 
+(* The compiled handler of the most recent store shape. A store's code
+   depends on its shape (shards, transaction layout, batch, scheduler),
+   while its requests, transactions and preload live in the data segment;
+   no compiler pass reads [data] or [blobs]. So the key is the code alone:
+   the options, [main], and per function its name, entry and blocks. A hit
+   reattaches the caller's own data segment. One entry is enough for the
+   usual run of same-shape plans, and it keeps no data or blobs, so large
+   preloads are not retained. Scheduled stores bake area bases into
+   immediates, so their code changes with the requests and they miss. *)
+let shape_of options (p : Ir.Program.t) =
+  ( options,
+    p.Ir.Program.main,
+    List.map
+      (fun f ->
+        ( Ir.Func.name f,
+          Ir.Func.entry f,
+          List.map
+            (fun (b : Ir.Block.t) ->
+              (b.Ir.Block.label, b.Ir.Block.instrs, b.Ir.Block.term))
+            (Ir.Func.blocks f) ))
+      p.Ir.Program.funcs )
+
+let last_compiled = ref None
+let last_compiled_lock = Mutex.create ()
+
+let with_data (c : Comp.Compiled.t) ~data ~blobs =
+  { c with program = { c.program with Ir.Program.data; blobs } }
+
+let build_store ?batch ?txns ?sched ?preload options ~key_space ~requests =
+  let kv =
+    Kvstore.build ?batch ?txns ?sched ?preload ~key_space ~requests ()
+  in
+  let source = kv.Kvstore.program in
+  let shape = shape_of options source in
+  let hit =
+    Mutex.protect last_compiled_lock (fun () ->
+        match !last_compiled with
+        | Some (shape', c) when shape' = shape -> Some c
+        | Some _ | None -> None)
+  in
+  match hit with
+  | Some c ->
+    (kv, with_data c ~data:source.Ir.Program.data
+           ~blobs:source.Ir.Program.blobs)
+  | None ->
+    let c = Comp.Pipeline.compile options source in
+    Mutex.protect last_compiled_lock (fun () ->
+        last_compiled := Some (shape, with_data c ~data:[] ~blobs:[]));
+    (kv, c)
+
 (* Estimated service cycles per request, measured by running a small
    probe store under the same compiler options and persistence mode.
    Admission control prices open-loop arrivals against this estimate. *)
@@ -89,11 +140,10 @@ let calibrate cfg =
     }
   in
   let workload = Client.generate probe_client ~shards:1 in
-  let kv =
-    Kvstore.build ~batch:cfg.batch ~key_space:16
-      ~requests:workload.Client.requests ()
+  let kv, compiled =
+    build_store ~batch:cfg.batch cfg.options ~key_space:16
+      ~requests:workload.Client.requests
   in
-  let compiled = Comp.Pipeline.compile cfg.options kv.Kvstore.program in
   let session =
     Executor.start ~config:cfg.config ~mode:cfg.mode ~journal_io:true
       ~check_threshold:cfg.options.Comp.Options.threshold
@@ -194,12 +244,11 @@ let plan_workload cfg (tw : Client.tenant_workload) =
         ~weights:tw.Client.weights requests
     | _ -> (requests, [])
   in
-  let kv =
-    Kvstore.build ~batch:cfg.batch ~txns:tw.Client.base.Client.txns
-      ~key_space:tw.Client.key_space ~requests ?sched:cfg.sched
-      ~preload:cfg.preload ()
+  let kv, compiled =
+    build_store ~batch:cfg.batch ~txns:tw.Client.base.Client.txns
+      ?sched:cfg.sched ~preload:cfg.preload cfg.options
+      ~key_space:tw.Client.key_space ~requests
   in
-  let compiled = Comp.Pipeline.compile cfg.options kv.Kvstore.program in
   {
     cfg;
     kv;
@@ -230,12 +279,11 @@ let plan cfg =
         admit ~period ~depth ~svc:(calibrate cfg) requests
       | _ -> (requests, [])
     in
-    let kv =
-      Kvstore.build ~batch:cfg.batch ~txns:workload.Client.txns
-        ~key_space:cfg.client.Client.key_space ~requests ?sched:cfg.sched
-        ~preload:cfg.preload ()
+    let kv, compiled =
+      build_store ~batch:cfg.batch ~txns:workload.Client.txns
+        ?sched:cfg.sched ~preload:cfg.preload cfg.options
+        ~key_space:cfg.client.Client.key_space ~requests
     in
-    let compiled = Comp.Pipeline.compile cfg.options kv.Kvstore.program in
     {
       cfg;
       kv;

@@ -70,6 +70,25 @@ type t = {
       (** the tenant workload served, when the plan is multi-tenant *)
 }
 
+val build_store :
+  ?batch:int ->
+  ?txns:Wire.txn array ->
+  ?sched:Sched.cfg ->
+  ?preload:(int * int) array array ->
+  Capri_compiler.Options.t ->
+  key_space:int ->
+  requests:Wire.request array array ->
+  Kvstore.t * Capri_compiler.Compiled.t
+(** {!Kvstore.build} followed by {!Capri_compiler.Pipeline.compile} of
+    its program, with the compiled handler of the most recent store
+    shape memoised. The key is the code alone (options, [main], and each
+    function's name, entry and blocks); a hit reattaches this store's own
+    data segment, so the result equals a fresh compile. Requests,
+    transactions and preload live in the data segment, so same-shape
+    pinned stores hit; scheduled stores bake area bases into their code
+    and hit only on identical layouts. Safe to call from several
+    domains. *)
+
 val plan : cfg -> t
 (** Generate the workload, apply admission control, build the store and
     compile it through the Capri pipeline. With [cfg.tenants], the

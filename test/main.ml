@@ -8,6 +8,7 @@ let () =
       ("ckpt", Test_ckpt.suite);
       ("unroll", Test_unroll.suite);
       ("opt", Test_opt.suite);
+      ("pin", Test_compile_pin.suite);
       ("arch", Test_arch.suite);
       ("persist", Test_persist.suite);
       ("recovery", Test_recovery.suite);

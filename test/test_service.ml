@@ -1060,6 +1060,90 @@ let prop_txn_batches_serializable =
           Arch.Persist.Redo_nowb; Arch.Persist.Volatile;
         ])
 
+(* --- the per-shape compile cache in Server.build_store --- *)
+
+let pp_program p = Format.asprintf "%a" Capri_ir.Program.pp p
+
+let cached_store ?(options = Capri_compiler.Options.default) ?(batch = 8)
+    ?sched ~txns ~seed () =
+  let w =
+    Client.generate
+      { Client.default with key_space = 24; ops_per_shard = 30; seed; txns }
+      ~shards:2
+  in
+  Server.build_store ~batch ~txns:w.Client.txns ?sched options ~key_space:24
+    ~requests:w.Client.requests
+
+(* A result must be a fresh compile of its own store, code and data. *)
+let check_fresh ?(options = Capri_compiler.Options.default)
+    ((kv : Kvstore.t), (c : Capri_compiler.Compiled.t)) =
+  let fresh = Capri_compiler.Pipeline.compile options kv.Kvstore.program in
+  Alcotest.(check string) "code = fresh compile"
+    (pp_program fresh.Capri_compiler.Compiled.program)
+    (pp_program c.Capri_compiler.Compiled.program);
+  let p = c.Capri_compiler.Compiled.program in
+  Alcotest.(check bool) "own data" true
+    (p.Capri_ir.Program.data == kv.Kvstore.program.Capri_ir.Program.data);
+  Alcotest.(check bool) "own blobs" true
+    (p.Capri_ir.Program.blobs == kv.Kvstore.program.Capri_ir.Program.blobs)
+
+(* A hit shares the cached code; a miss compiles afresh. *)
+let shares_code (_, (a : Capri_compiler.Compiled.t))
+    (_, (b : Capri_compiler.Compiled.t)) =
+  a.Capri_compiler.Compiled.program.Capri_ir.Program.funcs
+  == b.Capri_compiler.Compiled.program.Capri_ir.Program.funcs
+
+let test_compile_cache_hits_same_shape () =
+  let a = cached_store ~txns:4 ~seed:1 () in
+  let b = cached_store ~txns:4 ~seed:2 () in
+  let (kva, _), (kvb, _) = (a, b) in
+  Alcotest.(check bool) "requests differ" true
+    (kva.Kvstore.requests <> kvb.Kvstore.requests);
+  Alcotest.(check bool) "second store hits" true (shares_code a b);
+  check_fresh a;
+  check_fresh b
+
+let test_compile_cache_misses_on_shape () =
+  let base = cached_store ~txns:4 ~seed:1 () in
+  let up_to_prune = Capri_compiler.Options.up_to_prune in
+  let default = Capri_compiler.Options.default in
+  let misses =
+    [
+      ("options", up_to_prune, fun () ->
+          cached_store ~options:up_to_prune ~txns:4 ~seed:1 ());
+      ("txns 0", default, fun () -> cached_store ~txns:0 ~seed:1 ());
+      ("batch", default, fun () -> cached_store ~batch:4 ~txns:4 ~seed:1 ());
+      ("sched", default, fun () ->
+          cached_store ~sched:Sched.default ~txns:4 ~seed:1 ());
+    ]
+  in
+  List.iter
+    (fun (what, options, build) ->
+      ignore (cached_store ~txns:4 ~seed:1 ());
+      let r = build () in
+      Alcotest.(check bool) (what ^ " misses") false (shares_code base r);
+      check_fresh ~options r)
+    misses
+
+(* Plans racing on the cache from several domains, with shapes
+   alternating so entries are replaced under contention, must equal the
+   sequential plans. *)
+let test_compile_cache_parallel () =
+  let cfgs =
+    List.init 8 (fun i -> mk ~seed:(i + 1) ~txns:(if i mod 3 = 0 then 0 else 2) ())
+  in
+  let digest (t : Server.t) =
+    ( pp_program t.Server.compiled.Capri_compiler.Compiled.program,
+      t.Server.compiled.Capri_compiler.Compiled.program.Capri_ir.Program.data,
+      (Server.run t).Server.acks )
+  in
+  let seq = List.map (fun c -> digest (Server.plan c)) cfgs in
+  let par =
+    Capri_util.Pool.with_pool ~jobs:4 (fun p ->
+        Capri_util.Pool.map_list p (fun c -> digest (Server.plan c)) cfgs)
+  in
+  Alcotest.(check bool) "jobs 4 = jobs 1" true (seq = par)
+
 let suite =
   [
     Alcotest.test_case "wire round trip" `Quick test_wire_round_trip;
@@ -1108,6 +1192,12 @@ let suite =
       test_recovery_penalty_max_over_cores;
     Alcotest.test_case "preloaded store recovers" `Quick
       test_preloaded_store_recovers;
+    Alcotest.test_case "compile cache: same shape hits" `Quick
+      test_compile_cache_hits_same_shape;
+    Alcotest.test_case "compile cache: shape changes miss" `Quick
+      test_compile_cache_misses_on_shape;
+    Alcotest.test_case "compile cache: parallel plans = sequential" `Quick
+      test_compile_cache_parallel;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
