@@ -47,7 +47,7 @@ steal:
 	dune exec fuzz/main.exe -- --service --steal --budget 260
 
 # Engine-equivalence gate: tiny-scale micro shapes + a kernel + a
-# generated multi-core program, interp vs compiled, all five modes.
+# generated multi-core program, interp vs compiled, every persistence mode.
 perfsmoke:
 	dune exec bench/perfsmoke.exe
 

@@ -1,7 +1,7 @@
 (* perf-smoke: the compiled execution tier must be a pure speed change.
    Run the dispatch microbenchmark shapes at tiny scale — plus a small
    suite kernel and a multi-core workload-generator program — under both
-   engines across all five persistence modes and require identical
+   engines across every persistence mode and require identical
    results: cycles, instruction/store accounting, outputs, acks, final
    registers, persist and hierarchy statistics, and final memory.
 
@@ -15,12 +15,6 @@
 open Capri
 module W = Capri_workloads
 module Pool = Capri_util.Pool
-
-let modes =
-  [
-    Persist.Capri; Persist.Naive_sync; Persist.Undo_sync; Persist.Redo_nowb;
-    Persist.Volatile;
-  ]
 
 (* Everything observable about a finished run, as one comparable value
    (memory via its sorted line dump). *)
@@ -58,14 +52,14 @@ let () =
       List.iter
         (fun mode ->
           add ("dispatch/" ^ name) mode p [ Executor.main_thread p ])
-        modes)
+        Persist.all_modes)
     dispatch;
   (* one real kernel, single-core *)
   let k = W.Suite.by_name ~scale:1 "505.mcf_r" in
   let kp = (compile k.W.Kernel.program).Compiled.program in
   List.iter
     (fun mode -> add "kernel/505.mcf_r" mode kp k.W.Kernel.threads)
-    modes;
+    Persist.all_modes;
   (* one generated multi-core program, Capri mode *)
   let prog = W.Gen.generate ~cores:2 7 in
   let gp, gthreads = W.Gen.lower prog in

@@ -1,6 +1,6 @@
 (* Serving-layer benchmark: throughput, latency percentiles, modeled
    recovery time and transaction outcomes for the capri.service KV store
-   across the five persistence design points and the three YCSB-style
+   across every persistence design point and the three YCSB-style
    mixes ([--txns] weaves cross-shard 2PC transactions into every
    trial; the txC/txA column tallies their commits/aborts).
 
@@ -15,12 +15,6 @@ module Arch = Capri_arch
 module Svc = Capri_service
 module Pool = Capri_util.Pool
 module Table = Capri_util.Table
-
-let modes =
-  [
-    Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-    Arch.Persist.Redo_nowb; Arch.Persist.Volatile;
-  ]
 
 let mixes = [ Svc.Client.A; Svc.Client.B; Svc.Client.C ]
 
@@ -61,18 +55,7 @@ let trial ~shards ~ops ~crashes ~txns (mode, mix) =
   let t =
     Svc.Server.plan { Svc.Server.default_cfg with Svc.Server.shards; client; mode }
   in
-  (* the crash schedule is phrased in per-segment instruction counts, so
-     derive it from a crash-free reference run of the same plan *)
-  let schedule =
-    if crashes = 0 || mode = Arch.Persist.Volatile then []
-    else begin
-      let total =
-        (Svc.Server.run t).Svc.Server.result.Capri_runtime.Executor.instrs
-      in
-      List.init crashes (fun _ -> max 1 (total / (crashes + 1)))
-    end
-  in
-  let outcome = Svc.Server.run ~crash_at:schedule t in
+  let _, outcome = Svc.Server.trial ~crash_at:(Svc.Server.even crashes) t in
   let trial =
     Printf.sprintf "service bench %s/%s" (Arch.Persist.mode_name mode)
       (Svc.Client.mix_name mix)
@@ -86,7 +69,9 @@ let trial ~shards ~ops ~crashes ~txns (mode, mix) =
 
 let rows ~jobs ~shards ~ops ~crashes ~txns =
   let cells =
-    List.concat_map (fun mode -> List.map (fun mix -> (mode, mix)) mixes) modes
+    List.concat_map
+      (fun mode -> List.map (fun mix -> (mode, mix)) mixes)
+      Arch.Persist.all_modes
   in
   Pool.with_pool ~jobs (fun pool ->
       Pool.map_list pool (trial ~shards ~ops ~crashes ~txns) cells)
@@ -136,12 +121,6 @@ let table ~jobs ~shards ~ops ~crashes ~txns =
    modes fan out over the Pool in input order, so the rendered output
    is byte-identical at any --jobs count. *)
 
-let recoverable =
-  [
-    Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-    Arch.Persist.Redo_nowb;
-  ]
-
 type rolling_row = {
   r_mode : Arch.Persist.mode;
   r_stats : Svc.Sla.stats;
@@ -163,16 +142,7 @@ let rolling_trial ~shards ~ops ~crashes ~period mode =
     Svc.Server.plan
       { Svc.Server.default_cfg with Svc.Server.shards; client; mode }
   in
-  let schedule =
-    if crashes = 0 then []
-    else begin
-      let total =
-        (Svc.Server.run t).Svc.Server.result.Capri_runtime.Executor.instrs
-      in
-      List.init crashes (fun _ -> max 1 (total / (crashes + 1)))
-    end
-  in
-  let outcome = Svc.Server.run ~crash_at:schedule t in
+  let _, outcome = Svc.Server.trial ~crash_at:(Svc.Server.even crashes) t in
   {
     r_mode = mode;
     r_stats = Svc.Server.stats t outcome;
@@ -186,7 +156,7 @@ let rolling_rows ~jobs ~shards ~ops ~crashes ~period =
   Pool.with_pool ~jobs (fun pool ->
       Pool.map_list pool
         (rolling_trial ~shards ~ops ~crashes ~period)
-        recoverable)
+        (List.filter Arch.Persist.recoverable Arch.Persist.all_modes))
 
 let render_rolling rows =
   let t =
@@ -255,15 +225,6 @@ type recovery_row = {
   v_violation : string option;
 }
 
-(* Deterministic committed state: every key of every shard, with a
-   value derived from (key, shard) so cross-shard confusion would be
-   caught by the oracle's table scan. *)
-let store_preload ~shards ~keys =
-  Array.init shards (fun s ->
-      Array.init keys (fun i ->
-          let key = i + 1 in
-          (key, (key + (s * 17)) mod 251)))
-
 let recovery_cfg ~shards ~keys ~ops ~interval ~recovery_jobs ~compact ~factor =
   let client =
     {
@@ -287,7 +248,7 @@ let recovery_cfg ~shards ~keys ~ops ~interval ~recovery_jobs ~compact ~factor =
     mode = Arch.Persist.Capri;
     config;
     recovery_jobs;
-    preload = store_preload ~shards ~keys;
+    preload = Svc.Kvstore.synthetic_preload ~shards ~keys;
   }
 
 let recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs
@@ -296,12 +257,11 @@ let recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs
     recovery_cfg ~shards ~keys ~ops ~interval ~recovery_jobs ~compact ~factor
   in
   let t = Svc.Server.plan cfg in
-  let total =
-    (Svc.Server.run t).Svc.Server.result.Capri_runtime.Executor.instrs
-  in
   (* one crash at 90% of the reference run: almost all of the trial's
      history is already served and journaled when the power fails *)
-  let outcome = Svc.Server.run ~crash_at:[ max 1 (total * 9 / 10) ] t in
+  let _, outcome =
+    Svc.Server.trial ~crash_at:(fun total -> [ max 1 (total * 9 / 10) ]) t
+  in
   let trial =
     Printf.sprintf "recovery bench compact=%b x%d" compact factor
   in

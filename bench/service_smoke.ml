@@ -6,6 +6,7 @@
    along). Runs as part of `dune runtest`. *)
 
 module Slo = Capri_service.Slo
+module Persist = Capri_arch.Persist
 
 (* A scenario's rendered text, after requiring that no trial violated the
    oracle. *)
@@ -34,9 +35,15 @@ let () =
   in
   let seq = table 1 in
   check_identical "table" seq (table 4);
-  (* Sanity: all fifteen mode x mix rows rendered. *)
+  (* Exactly one data row per mode x mix cell (three mixes). *)
+  let modes = List.map Persist.mode_name Persist.all_modes in
+  let data_row l =
+    match String.split_on_char '|' l with
+    | "" :: cell :: _ -> List.mem (String.trim cell) modes
+    | _ -> false
+  in
   let lines = String.split_on_char '\n' (text "table" seq) in
-  assert (List.length (List.filter (fun l -> l <> "") lines) >= 15);
+  assert (List.length (List.filter data_row lines) = List.length modes * 3);
   (* Rolling-crash scenario: byte-identical at any --jobs, and every
      recoverable mode must report at least one measured unavailability
      window with its p99-during-recovery split. *)

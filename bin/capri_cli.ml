@@ -25,6 +25,10 @@ let threshold_arg =
   let doc = "Region store threshold (paper default 256)." in
   Arg.(value & opt int 256 & info [ "threshold" ] ~docv:"N" ~doc)
 
+(* Every persistence mode, by its canonical name. *)
+let mode_enum =
+  Arg.enum (List.map (fun m -> (Persist.mode_name m, m)) Persist.all_modes)
+
 (* Selects the execution engine for every simulation the invocation runs
    (the term sets `Executor.default_engine`; all session starts that do
    not pin an engine inherit it). *)
@@ -240,14 +244,8 @@ let profile_cmd =
   in
   let mode_arg =
     let doc = "Focus mode for the trace and region profile ($(docv))." in
-    let modes =
-      List.map (fun m -> (Persist.mode_name m, m)) Profile.all_modes
-    in
-    Arg.(
-      value
-      & opt (enum modes) Persist.Capri
-      & info [ "mode" ] ~docv:"capri|naive-sync|undo-sync|redo-nowb|volatile"
-          ~doc)
+    let docv = String.concat "|" (List.map Persist.mode_name Persist.all_modes) in
+    Arg.(value & opt mode_enum Persist.Capri & info [ "mode" ] ~docv ~doc)
   in
   let write_file file contents =
     let oc = open_out file in
@@ -366,15 +364,12 @@ let serve_cmd =
     let doc = "Maximum items per participant shard in each transaction." in
     Arg.(value & opt int 2 & info [ "txn-items" ] ~docv:"N" ~doc)
   in
-  let mode_enum =
-    List.map (fun m -> (Persist.mode_name m, m)) Profile.all_modes
-  in
   let focus_arg =
     let doc =
       "Persistence mode of the focus run that the observability flags \
        ($(b,--perfetto), $(b,--timeline), $(b,--slo)) report on."
     in
-    Arg.(value & opt (enum mode_enum) Persist.Capri & info [ "mode" ] ~docv:"MODE" ~doc)
+    Arg.(value & opt mode_enum Persist.Capri & info [ "mode" ] ~docv:"MODE" ~doc)
   in
   let perfetto_arg =
     let doc =
@@ -486,11 +481,7 @@ let serve_cmd =
     in
     let preload =
       if keys <= 0 then [||]
-      else
-        Array.init (max 1 shards) (fun s ->
-            Array.init keys (fun i ->
-                let key = i + 1 in
-                (key, (key + (s * 17)) mod 251)))
+      else Svc.Kvstore.synthetic_preload ~shards:(max 1 shards) ~keys
     in
     let sched =
       if cores > 0 then
@@ -517,29 +508,33 @@ let serve_cmd =
           preload;
         }
     in
-    let schedule_for t mode =
-      if crashes <= 0 || mode = Persist.Volatile then []
-      else begin
-        let total = (Svc.Server.run t).Svc.Server.result.Executor.instrs in
-        List.init crashes (fun _ -> max 1 (total / (crashes + 1)))
-      end
-    in
+    (* The focus mode's pool run doubles as the instrumented run the
+       observability lenses report on. *)
+    let want_report = slo || slo_p99 <> None || slo_avail <> None in
+    let observe = perfetto <> None || timeline || want_report in
     let serve mode =
       let t = plan_for mode in
-      let outcome = Svc.Server.run ~crash_at:(schedule_for t mode) t in
+      let obs =
+        if observe && mode = focus then Some (Capri_obs.Obs.create ())
+        else None
+      in
+      let _, outcome =
+        Svc.Server.trial ?obs ~crash_at:(Svc.Server.even (max 0 crashes)) t
+      in
       ( mode,
         Svc.Server.check t outcome,
         Svc.Server.stats t outcome,
         Svc.Server.steals t outcome,
-        Svc.Server.tenant_stats t outcome )
+        Svc.Server.tenant_stats t outcome,
+        Option.map (fun obs -> (t, outcome, obs)) obs )
     in
     let results =
       Capri_util.Pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
-          Capri_util.Pool.map_list pool serve Profile.all_modes)
+          Capri_util.Pool.map_list pool serve Persist.all_modes)
     in
     let failed = ref false in
     List.iter
-      (fun (mode, checked, stats, steals, per_tenant) ->
+      (fun (mode, checked, stats, steals, per_tenant, _) ->
         Format.printf "%-12s %a@." (Persist.mode_name mode) Svc.Sla.pp_stats
           stats;
         if sched <> None then
@@ -556,19 +551,9 @@ let serve_cmd =
           Format.printf "%-12s ORACLE VIOLATION: %a@." (Persist.mode_name mode)
             Svc.Sla.pp_violation v)
       results;
-    (* Focus run with observability on: one instrumented pass through the
-       selected mode, reported through the requested lenses. *)
-    let want_report = slo || slo_p99 <> None || slo_avail <> None in
-    if perfetto <> None || timeline || want_report then begin
-      let t = plan_for focus in
-      let obs = Capri_obs.Obs.create () in
-      let outcome = Svc.Server.run ~obs ~crash_at:(schedule_for t focus) t in
-      (match Svc.Server.check t outcome with
-      | Ok () -> ()
-      | Error v ->
-        failed := true;
-        Format.printf "%-12s ORACLE VIOLATION: %a@." (Persist.mode_name focus)
-          Svc.Sla.pp_violation v);
+    (match List.find_map (fun (_, _, _, _, _, f) -> f) results with
+    | None -> ()
+    | Some (t, outcome, obs) ->
       (match Capri_obs.Tracer.validate obs.Capri_obs.Obs.tracer with
       | Ok () -> ()
       | Error e ->
@@ -589,10 +574,7 @@ let serve_cmd =
         print_string
           (Svc.Slo.render_timeline (Svc.Slo.timeline ?width:window ~t outcome));
       if want_report then begin
-        let r =
-          Svc.Slo.report ?slo_p99 ?slo_avail:(Option.map (fun a -> a) slo_avail)
-            ~t outcome
-        in
+        let r = Svc.Slo.report ?slo_p99 ?slo_avail ~t outcome in
         Format.printf "%a" Svc.Slo.pp_report r;
         let missed =
           (match (r.Svc.Slo.slo_p99, r.Svc.Slo.p99_burn) with
@@ -604,8 +586,7 @@ let serve_cmd =
           | None -> false
         in
         if missed then failed := true
-      end
-    end;
+      end);
     if !failed then exit 1
   in
   Cmd.v

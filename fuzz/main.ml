@@ -9,10 +9,10 @@
                     (default: $CAPRI_JOBS if set, else the machine's
                     recommended domain count)
      --mode M       persist modes to exercise; repeatable, or a comma
-                    list. capri | naive-sync | undo-sync | redo-nowb |
-                    volatile | all (default: all). Volatile selects the
+                    list. capri | naive-sync | redo-nowb | volatile |
+                    all (default: all). Volatile selects the
                     compiled-vs-source differential oracle; the other
-                    four select the crash oracle.
+                    three select the crash oracle.
      --max-schedules N   crash schedules per trial (default 24)
      --diff-combos N     compiler option combos per trial (default 4)
      --max-cores N       trial core counts cycle in 1..N (default 3)
@@ -41,6 +41,7 @@
 
 module Campaign = Capri_fuzz.Campaign
 module Service_fuzz = Capri_fuzz.Service_fuzz
+module Persist = Capri_arch.Persist
 
 let usage =
   "usage: fuzz/main.exe [--seed N] [--budget N] [--jobs N] [--mode M]\n\
@@ -62,9 +63,9 @@ let modes_arg v =
   |> List.concat_map (fun name ->
          match String.lowercase_ascii (String.trim name) with
          | "" -> []
-         | "all" -> Campaign.all_modes
+         | "all" -> Persist.all_modes
          | m -> (
-           match Campaign.mode_of_string m with
+           match Persist.mode_of_string m with
            | Some mode -> [ mode ]
            | None -> bad (Printf.sprintf "unknown mode %S" name)))
 
@@ -136,7 +137,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
-  let modes = if !modes = [] then Campaign.all_modes else !modes in
+  let modes = if !modes = [] then Persist.all_modes else !modes in
   if !steal && not !service then bad "--steal requires --service";
   if !service then begin
     let cfg =

@@ -1,14 +1,21 @@
 module Metrics = Capri_obs.Metrics
 module Obs = Capri_obs.Obs
 
-type mode = Capri | Naive_sync | Undo_sync | Redo_nowb | Volatile
+type mode = Capri | Naive_sync | Redo_nowb | Volatile
+
+let all_modes = [ Capri; Naive_sync; Redo_nowb; Volatile ]
 
 let mode_name = function
   | Capri -> "capri"
   | Naive_sync -> "naive-sync"
-  | Undo_sync -> "undo-sync"
   | Redo_nowb -> "redo-nowb"
   | Volatile -> "volatile"
+
+let mode_of_string s =
+  let s = String.map (fun c -> if c = '_' then '-' else c) s in
+  List.find_opt (fun m -> mode_name m = s) all_modes
+
+let recoverable mode = mode <> Volatile
 
 (* The public snapshot view; the live counters are registry cells (see
    [counters] below) so a profiled run exports them without a copy. *)
@@ -933,7 +940,7 @@ let store_conflict t ~core ~cycle ~line ~mask =
   match t.mode with
   | Volatile -> false
   | _ when not t.config.Config.conflict_fence -> false
-  | Capri | Naive_sync | Undo_sync | Redo_nowb ->
+  | Capri | Naive_sync | Redo_nowb ->
     advance t ~cycle;
     (match Hashtbl.find_opt t.pending line with
      | None -> false
@@ -950,7 +957,7 @@ let store_conflict t ~core ~cycle ~line ~mask =
 let on_store t ~core ~cycle ~line ~mask ~undo ~redo ~version =
   match t.mode with
   | Volatile -> 0
-  | Capri | Naive_sync | Undo_sync | Redo_nowb ->
+  | Capri | Naive_sync | Redo_nowb ->
     let cs = t.cores.(core) in
     advance t ~cycle;
     (* Merge with a front-resident entry of the same open region. *)
@@ -1009,7 +1016,7 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
     ~memory =
   match t.mode with
   | Volatile -> 0
-  | Capri | Naive_sync | Undo_sync | Redo_nowb ->
+  | Capri | Naive_sync | Redo_nowb ->
     let cs = t.cores.(core) in
     advance t ~cycle;
     (match fi_find cs line with
@@ -1059,7 +1066,7 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
 let on_ckpt t ~core ~slot ~value =
   match t.mode with
   | Volatile -> ()
-  | Capri | Naive_sync | Undo_sync | Redo_nowb ->
+  | Capri | Naive_sync | Redo_nowb ->
     let cs = t.cores.(core) in
     if not cs.staged_mark.(slot) then begin
       cs.staged_mark.(slot) <- true;
@@ -1139,7 +1146,7 @@ let on_boundary t ~core ~cycle ~boundary ~sp =
     advance t ~cycle;
     flush_region t cs ~boundary ~sp;
     0
-  | Naive_sync | Undo_sync ->
+  | Naive_sync ->
     (* Synchronous region persistence: wait until everything this core has
        produced, including this region, is durable. *)
     let cs = t.cores.(core) in
@@ -1156,7 +1163,7 @@ let on_writeback t ~cycle ~line ~data ~version =
   | Redo_nowb ->
     (* Dirty lines are dropped: only the redo log updates NVM. *)
     ()
-  | Capri | Naive_sync | Undo_sync ->
+  | Capri | Naive_sync ->
     advance t ~cycle;
     if dbg_on then
       dbg line "writeback line=%d v=%d data2=%d cyc=%d\n" line version data.(2)
@@ -1195,7 +1202,7 @@ let on_halt t ~core ~cycle =
     flush_region t cs ~boundary:(-1) ~sp:0;
     cs.halted <- true;
     0
-  | Naive_sync | Undo_sync ->
+  | Naive_sync ->
     let cs = t.cores.(core) in
     advance t ~cycle;
     flush_region t cs ~boundary:(-1) ~sp:0;
@@ -1209,12 +1216,12 @@ let load_extra_latency t (level : Hierarchy.level) =
   | Redo_nowb, (Hierarchy.Dram | Hierarchy.Nvm) ->
     t.config.Config.proxy_path_latency / 2
   | Redo_nowb, (Hierarchy.L1 | Hierarchy.L2) -> 0
-  | (Capri | Naive_sync | Undo_sync | Volatile), _ -> 0
+  | (Capri | Naive_sync | Volatile), _ -> 0
 
 let writebacks_reach_nvm t =
   match t.mode with
   | Redo_nowb -> false
-  | Capri | Naive_sync | Undo_sync | Volatile -> true
+  | Capri | Naive_sync | Volatile -> true
 
 (* ---------------- crash and recovery ---------------- *)
 

@@ -23,18 +23,31 @@
     accounted and measured.
 
     The engine also hosts the design-space modes the benchmarks compare:
-    [Naive_sync] (stall at every boundary until the region is fully
-    persistent — the "up to 2x" strawman), [Undo_sync] (undo logging
-    without asynchronous region persistence, Section 5.1.2's limitation),
+    [Naive_sync] (the synchronous design point: stall at every boundary
+    until the region is fully persistent — the "up to 2x" strawman;
+    undo-only logging lands here too, since giving up redo gives up
+    asynchronous region persistence, Section 5.1.2's limitation),
     [Redo_nowb] (redo logging with dropped writebacks and indirect-read
     latency on deep loads, Section 5.1.1's problem), and [Volatile] (no
     persistence; the normalization baseline). *)
 
-type mode = Capri | Naive_sync | Undo_sync | Redo_nowb | Volatile
+type mode = Capri | Naive_sync | Redo_nowb | Volatile
+
+val all_modes : mode list
+(** Every mode, in the fixed order tables, campaigns and profiles
+    report them. *)
 
 val mode_name : mode -> string
 (** Canonical lower-case name ("capri", "naive-sync", ...), used as the
     ["mode"] metric label. *)
+
+val mode_of_string : string -> mode option
+(** Inverse of {!mode_name}; also accepts the underscore spellings
+    ("naive_sync", "redo_nowb"). *)
+
+val recoverable : mode -> bool
+(** Whether a crashed run in this mode can recover: every mode but
+    [Volatile]. *)
 
 (** Snapshot of the engine's counters, rebuilt by {!stats} on each call.
     The live cells are registry counters (named [persist_*], labelled

@@ -35,4 +35,7 @@ val ret_live_out : t -> string -> Reg.Set.t
     any caller's continuation. *)
 
 val live_before_instrs : t -> Func.t -> Block.t -> Reg.Set.t array
-(** Per-instruction live-before sets, as {!Liveness.live_before_instrs}. *)
+(** [live_before_instrs t f b] has one entry per instruction of [b]: the
+    registers live immediately before that instruction. Entry [n] (one
+    past the last instruction) is the set live just before the
+    terminator, so the array has length [List.length b.instrs + 1]. *)

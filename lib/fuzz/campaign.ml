@@ -26,34 +26,6 @@ module Pipeline = Capri_compiler.Pipeline
 module Gen = Capri_workloads.Gen
 module Pool = Capri_util.Pool
 
-(* ---------------- modes ---------------- *)
-
-let mode_name = function
-  | Arch.Persist.Capri -> "capri"
-  | Arch.Persist.Naive_sync -> "naive-sync"
-  | Arch.Persist.Undo_sync -> "undo-sync"
-  | Arch.Persist.Redo_nowb -> "redo-nowb"
-  | Arch.Persist.Volatile -> "volatile"
-
-let mode_of_string = function
-  | "capri" -> Some Arch.Persist.Capri
-  | "naive-sync" | "naive_sync" -> Some Arch.Persist.Naive_sync
-  | "undo-sync" | "undo_sync" -> Some Arch.Persist.Undo_sync
-  | "redo-nowb" | "redo_nowb" -> Some Arch.Persist.Redo_nowb
-  | "volatile" -> Some Arch.Persist.Volatile
-  | _ -> None
-
-let all_modes =
-  [
-    Arch.Persist.Capri;
-    Arch.Persist.Naive_sync;
-    Arch.Persist.Undo_sync;
-    Arch.Persist.Redo_nowb;
-    Arch.Persist.Volatile;
-  ]
-
-let crash_recoverable m = m <> Arch.Persist.Volatile
-
 (* ---------------- configuration ---------------- *)
 
 type cfg = {
@@ -74,7 +46,7 @@ let default_cfg =
     seed = 0;
     budget = 400;
     jobs = 1;
-    modes = all_modes;
+    modes = Arch.Persist.all_modes;
     config = Arch.Config.sim_default;
     max_cores = 3;
     array_words = 32;
@@ -220,7 +192,7 @@ let run_trial cfg k =
   in
   let repro_flag mode =
     Printf.sprintf "fuzz/main.exe --seed %d --budget 1 --mode %s" seed
-      (mode_name mode)
+      (Arch.Persist.mode_name mode)
   in
   match Gen.lower prog with
   | exception e ->
@@ -262,7 +234,7 @@ let run_trial cfg k =
       let schedules =
         Schedule.enumerate ~max_schedules:cfg.max_schedules info
       in
-      let crash_modes = List.filter crash_recoverable cfg.modes in
+      let crash_modes = List.filter Arch.Persist.recoverable cfg.modes in
       let crash_checks = ref 0 in
       let failure = ref None in
       (* crash oracle: every schedule under every requested mode *)
@@ -290,7 +262,9 @@ let run_trial cfg k =
                   failure :=
                     Some
                       (fail ~schedule ~shrunk_schedule ~shrunk_keep ~minimized
-                         ~oracle:(Printf.sprintf "crash(%s)" (mode_name mode))
+                         ~oracle:
+                           (Printf.sprintf "crash(%s)"
+                              (Arch.Persist.mode_name mode))
                          ~detail:(Oracle.options_string options)
                          ~repro:(repro_flag mode) reason)
               end)
@@ -417,7 +391,7 @@ let render r =
        "fuzz campaign: seed=%d budget=%d modes=%s\n\
         trials=%d schedules=%d crash-checks=%d diff-checks=%d executions=%d\n"
        r.cfg.seed r.cfg.budget
-       (String.concat "," (List.map mode_name r.cfg.modes))
+       (String.concat "," (List.map Arch.Persist.mode_name r.cfg.modes))
        r.trials r.schedules r.crash_checks r.diff_checks r.executions);
   if r.failures = [] then Buffer.add_string buf "failures: none\n"
   else begin

@@ -7,22 +7,13 @@
 
 module Arch = Capri_arch
 
-val mode_name : Arch.Persist.mode -> string
-val mode_of_string : string -> Arch.Persist.mode option
-
-val all_modes : Arch.Persist.mode list
-(** The five persist design points. [Volatile] is exercised by the
-    differential oracle (it is not crash-recoverable); the other four by
-    the crash oracle. *)
-
-val crash_recoverable : Arch.Persist.mode -> bool
-(** Every mode but [Volatile]. *)
-
 type cfg = {
   seed : int;  (** base seed; trial [k] uses [seed + k] *)
   budget : int;  (** total oracle executions before stopping *)
   jobs : int;  (** pool width; never affects the report *)
   modes : Arch.Persist.mode list;
+      (** [Volatile] selects the differential oracle (it is not
+          crash-recoverable); every other mode, the crash oracle *)
   config : Arch.Config.t;
   max_cores : int;  (** trial core counts cycle in [1 .. max_cores] *)
   array_words : int;  (** per-thread data-slice words (power of two) *)

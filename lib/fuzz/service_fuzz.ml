@@ -52,7 +52,7 @@ let default_cfg =
     seed = 0;
     budget = 400;
     jobs = 1;
-    modes = Campaign.all_modes;
+    modes = Arch.Persist.all_modes;
     config = Arch.Config.sim_default;
     max_shards = 2;
     max_ops = 24;
@@ -205,22 +205,24 @@ let repro_string cfg seed =
 
 (* ---------------- oracle drive and shrinking ---------------- *)
 
+(* The oracles over one observed run: trace well-formedness across the
+   crash schedule is itself an oracle — a dangling span at a crash point
+   or a non-monotone stitch across a recovery boundary is reported like
+   any other violation. *)
+let judge t obs outcome =
+  match Svc.Server.check t outcome with
+  | Ok () -> (
+    match Capri_obs.Tracer.validate obs.Capri_obs.Obs.tracer with
+    | Ok () -> None
+    | Error msg -> Some ("trace invalid: " ^ msg))
+  | Error v -> Some (Format.asprintf "%a" Svc.Sla.pp_violation v)
+
+(* Each run gets a fresh obs bundle (origin stitching is per-run state;
+   sharing a tracer across runs would interleave timelines). *)
 let violates t schedule =
-  (* Each run gets a fresh obs bundle: trace well-formedness across the
-     crash schedule is itself an oracle — a dangling span at a crash
-     point or a non-monotone stitch across a recovery boundary is
-     reported like any other violation. (Fresh because origin stitching
-     is per-run state; sharing a tracer across runs would interleave
-     timelines.) *)
   let obs = Capri_obs.Obs.create () in
   match Svc.Server.run ~obs ~crash_at:schedule t with
-  | outcome -> (
-    match Svc.Server.check t outcome with
-    | Ok () -> (
-      match Capri_obs.Tracer.validate obs.Capri_obs.Obs.tracer with
-      | Ok () -> None
-      | Error msg -> Some ("trace invalid: " ^ msg))
-    | Error v -> Some (Format.asprintf "%a" Svc.Sla.pp_violation v))
+  | outcome -> judge t obs outcome
   | exception e -> Some (Printexc.to_string e)
 
 (* Shrink units: one per single request (shard-major stream position)
@@ -338,7 +340,7 @@ let pick_point rng ~total ~boundaries =
 let run_trial cfg k =
   let seed = cfg.seed + k in
   let rng = Rng.create (0xca11 + seed) in
-  let crash_modes = List.filter Campaign.crash_recoverable cfg.modes in
+  let crash_modes = List.filter Arch.Persist.recoverable cfg.modes in
   let checks = ref 0 in
   let schedules_run = ref 0 in
   let failure = ref None in
@@ -360,11 +362,22 @@ let run_trial cfg k =
                 kept_requests = [];
                 repro = repro_string cfg seed;
               }
-        | t ->
-          (* reference run doubles as the completion-oracle check *)
+        | t -> (
+          (* the one crash-free run is both the completion-oracle check
+             and the traced reference the crash points are aimed from *)
           incr checks;
-          (match violates t [] with
-          | Some reason ->
+          let obs = Capri_obs.Obs.create () in
+          let trace = Runtime.Trace.create () in
+          let reference =
+            match Svc.Server.trial ~obs ~trace t with
+            | _, outcome -> (
+              match judge t obs outcome with
+              | None -> Ok outcome
+              | Some reason -> Error reason)
+            | exception e -> Error (Printexc.to_string e)
+          in
+          match reference with
+          | Error reason ->
             (* a crash-free violation: no schedule to shrink, but the
                workload still minimizes (e.g. down to the one
                transaction a broken commit path half-applies) *)
@@ -383,9 +396,7 @@ let run_trial cfg k =
                   kept_requests = kept;
                   repro = repro_string cfg seed;
                 }
-          | None ->
-            let trace = Runtime.Trace.create () in
-            let reference = Svc.Server.run ~trace t in
+          | Ok reference ->
             let total =
               reference.Svc.Server.result.Capri_runtime.Executor.instrs
             in
@@ -484,7 +495,7 @@ let render r =
        "service fuzz campaign: seed=%d budget=%d modes=%s txns=%d..%d%s\n\
         trials=%d schedules=%d checks=%d\n"
        r.cfg.seed r.cfg.budget
-       (String.concat "," (List.map Campaign.mode_name r.cfg.modes))
+       (String.concat "," (List.map Arch.Persist.mode_name r.cfg.modes))
        (min r.cfg.min_txns r.cfg.max_txns)
        r.cfg.max_txns
        (if r.cfg.steal then " steal=on" else "")
@@ -499,7 +510,7 @@ let render r =
           (Printf.sprintf
              "failure #%d: serializability/durability, trial seed %d, %s\n"
              (i + 1) f.trial_seed
-             (Campaign.mode_name f.mode));
+             (Arch.Persist.mode_name f.mode));
         Buffer.add_string buf (Printf.sprintf "  service:  %s\n" f.service);
         Buffer.add_string buf (Printf.sprintf "  reason:   %s\n" f.reason);
         if f.schedule <> [] then

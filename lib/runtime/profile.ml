@@ -33,15 +33,6 @@ module Config = Capri_arch.Config
 module Persist = Capri_arch.Persist
 module Pool = Capri_util.Pool
 
-let all_modes =
-  [
-    Persist.Capri;
-    Persist.Naive_sync;
-    Persist.Undo_sync;
-    Persist.Redo_nowb;
-    Persist.Volatile;
-  ]
-
 type t = {
   focus : Persist.mode;
   compiled : Compiled.t;  (** provenance source (compiles are deterministic) *)
@@ -80,7 +71,7 @@ let publish_compile_provenance m (compiled : Compiled.t) =
   set "compile_ckpts_remaining" (Compiled.static_ckpt_count compiled)
 
 let run ?jobs ?(config = Config.sim_default) ?(focus = Persist.Capri)
-    ?(modes = all_modes) ~(options : Options.t) ~program ~threads () =
+    ?(modes = Persist.all_modes) ~(options : Options.t) ~program ~threads () =
   let modes = if List.mem focus modes then modes else focus :: modes in
   let config = Config.with_threshold options.Options.threshold config in
   let run_mode mode =

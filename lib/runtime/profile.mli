@@ -8,9 +8,6 @@
     commutative — {!metrics_json}, {!perfetto_json} and {!render_top}
     are byte-identical at any [jobs] count. *)
 
-val all_modes : Capri_arch.Persist.mode list
-(** All five modes, in the fixed order runs are reported in. *)
-
 type t = {
   focus : Capri_arch.Persist.mode;
   compiled : Capri_compiler.Compiled.t;
@@ -33,10 +30,10 @@ val run :
   threads:Executor.thread_spec list ->
   unit ->
   t
-(** Profile [program] under [modes] (default {!all_modes}; [focus],
-    default [Capri], is added if absent). Only the focus run records
-    spans and region profiles; every run contributes mode-labelled
-    counters. Compile-time boundary-reason and checkpoint-pruning
+(** Profile [program] under [modes] (default
+    {!Capri_arch.Persist.all_modes}; [focus], default [Capri], is added
+    if absent). Only the focus run records spans and region profiles;
+    every run contributes mode-labelled counters. Compile-time boundary-reason and checkpoint-pruning
     provenance is published unlabelled ([compile_*] series). *)
 
 val metrics_json : t -> string

@@ -873,6 +873,12 @@ let alloc_items b ~shards txns =
         let words = if Array.length words = 0 then [| 0 |] else words in
         Builder.alloc_init b words)
 
+let synthetic_preload ~shards ~keys =
+  Array.init shards (fun s ->
+      Array.init keys (fun i ->
+          let key = i + 1 in
+          (key, (key + (s * 17)) mod 251)))
+
 let build ?(batch = 8) ?(txns = [||]) ?sched ?(preload = [||]) ~key_space
     ~requests () =
   let shards = Array.length requests in

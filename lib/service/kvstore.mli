@@ -113,6 +113,12 @@ val build :
     by stealing, so [{steal = false}] reproduces static pinning folded
     over the available cores. *)
 
+val synthetic_preload : shards:int -> keys:int -> (int * int) array array
+(** Deterministic committed state for {!build}'s [?preload]: keys
+    [1..keys] on every shard, key [k] of shard [s] holding
+    [(k + 17 s) mod 251], so a value read from the wrong shard shows up
+    in the oracle's table scan. *)
+
 val workers : t -> int
 (** Cores that emit shard responses: [shards] when pinned, the
     scheduler's core count otherwise. The coordinator, when present, is

@@ -622,6 +622,21 @@ let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
   instrument obs t outcome;
   outcome
 
+let even k total = List.init k (fun _ -> max 1 (total / (k + 1)))
+
+let trial ?obs ?trace ?crash_at t =
+  match crash_at with
+  | Some schedule when Arch.Persist.recoverable t.cfg.mode -> (
+    (* crash points count instructions per segment, so they come from a
+       crash-free reference run of the same plan *)
+    let reference = run t in
+    match schedule reference.result.Executor.instrs with
+    | [] when obs = None && trace = None -> (reference, reference)
+    | crash_at -> (reference, run ?obs ?trace ~crash_at t))
+  | _ ->
+    let outcome = run ?obs ?trace t in
+    (outcome, outcome)
+
 let check t outcome =
   Sla.check ~kv:t.kv ~images:outcome.images ~final:outcome.final
 

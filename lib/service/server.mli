@@ -157,6 +157,25 @@ val run :
     Raises [Invalid_argument] for a non-empty schedule in [Volatile]
     mode — a volatile store cannot recover. *)
 
+val trial :
+  ?obs:Capri_obs.Obs.t ->
+  ?trace:Capri_runtime.Trace.t ->
+  ?crash_at:(int -> int list) ->
+  t ->
+  outcome * outcome
+(** [(reference, outcome)]: plan → crash-free reference → crash run in
+    one call. [crash_at] maps the reference's dynamic-instruction count
+    to the crash schedule handed to {!run}. The reference runs only when
+    a schedule is requested and the mode is
+    {!Capri_arch.Persist.recoverable}; otherwise (a [Volatile] store
+    always runs crash-free) one run, observed by [obs] and [trace], is
+    returned as both. The reference itself is never observed, and an
+    empty schedule reuses it as the outcome when nothing observes. *)
+
+val even : int -> int -> int list
+(** [even k] is the schedule of [k] crashes, each
+    [max 1 (total / (k + 1))] instructions into its segment. *)
+
 val check : t -> outcome -> (unit, Sla.violation) result
 
 val views : t -> outcome -> (int * int) list array * string list

@@ -6,7 +6,7 @@ open Helpers
 
 let lbl = Label.of_string
 
-(* diamond: entry -> (left | right) -> join(ret) *)
+(* diamond: entry -> (left | right) -> join(halt) *)
 let diamond () =
   let open Instr in
   Func.create ~name:"main" ~entry:(lbl "entry")
@@ -26,25 +26,34 @@ let diamond () =
         Halt;
     ]
 
-let test_liveness_diamond () =
+(* The diamond as a one-function program: it ends in [Halt], so the
+   interprocedural [Ret] rule never applies and the result is plain
+   intra-procedural liveness. *)
+let diamond_liveness () =
   let f = diamond () in
-  let live = Liveness.compute f in
-  let li l = Liveness.live_in live (lbl l) |> Reg.Set.elements |> List.map Reg.to_int in
+  let program = Program.create ~funcs:[ f ] ~main:"main" ~data:[] () in
+  (f, Inter_liveness.compute program)
+
+let test_liveness_diamond () =
+  let f, live = diamond_liveness () in
+  let li l =
+    Inter_liveness.live_in live f (lbl l) |> Reg.Set.elements
+    |> List.map Reg.to_int
+  in
   Alcotest.(check (list int)) "entry live-in" [] (li "entry");
   Alcotest.(check (list int)) "left live-in" [ 1 ] (li "left");
   Alcotest.(check (list int)) "right live-in" [] (li "right");
   Alcotest.(check (list int)) "join live-in" [ 2 ] (li "join");
   let lo =
-    Liveness.live_out live (lbl "entry") |> Reg.Set.elements
+    Inter_liveness.live_out live f (lbl "entry") |> Reg.Set.elements
     |> List.map Reg.to_int
   in
   Alcotest.(check (list int)) "entry live-out" [ 1 ] lo
 
 let test_liveness_per_instr () =
-  let f = diamond () in
-  let live = Liveness.compute f in
+  let f, live = diamond_liveness () in
   let b = Func.find f (lbl "right") in
-  let arr = Liveness.live_before_instrs live b in
+  let arr = Inter_liveness.live_before_instrs live f b in
   Alcotest.(check int) "array length" 3 (Array.length arr);
   (* before `r3 = r2`: r2 live *)
   Alcotest.(check bool) "r2 live before use" true

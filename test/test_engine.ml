@@ -10,12 +10,6 @@ open Helpers
 module Opt = Capri_compiler.Options
 module Gen = Capri_workloads.Gen
 
-let all_modes =
-  [
-    Persist.Capri; Persist.Naive_sync; Persist.Undo_sync; Persist.Redo_nowb;
-    Persist.Volatile;
-  ]
-
 (* Same seed-driven option mix as the qcheck suite, forced failure-atomic
    so crash schedules are meaningful. *)
 let options_of_seed seed =
@@ -92,7 +86,7 @@ let crashed ctx = function
   | Executor.Crashed c -> c
   | Executor.Finished _ -> Alcotest.fail (ctx ^ ": expected a crash")
 
-(* Crash-free identity across all five persistence modes, single core. *)
+(* Crash-free identity across every persistence mode, single core. *)
 let test_differential_modes () =
   List.iter
     (fun seed ->
@@ -112,7 +106,7 @@ let test_differential_modes () =
               (run_engine ~mode ~engine:Executor.Compiled compiled threads)
           in
           check_same ctx a b)
-        all_modes)
+        Persist.all_modes)
     [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 (* Tiny caches force dirty writebacks of uncommitted lines mid-region —
@@ -201,7 +195,7 @@ let test_crash_image_identity () =
               in
               check_same_crash ctx a b)
             [ max 1 (total / 3); max 1 (2 * total / 3) ])
-        all_modes)
+        Persist.all_modes)
     [ 2; 5; 13 ]
 
 (* Full crash + recover + resume, each engine end to end; final states
@@ -388,7 +382,7 @@ let test_engine_of_string () =
   Alcotest.(check string) "name round-trip" "compiled"
     (Executor.engine_name Executor.Compiled)
 
-(* Property: random programs × all five modes × crash schedules — the
+(* Property: random programs × every mode × crash schedules — the
    engines agree on everything, always. *)
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 5_000)
 
@@ -422,7 +416,7 @@ let prop_engines_agree =
           | _ ->
             QCheck.Test.fail_reportf "seed %d mode %s: unexpected crash" seed
               (Persist.mode_name mode))
-        all_modes;
+        Persist.all_modes;
       (* crash-image + recovery identity (Capri mode) *)
       let total =
         match run ~mode:Persist.Capri Executor.Compiled with

@@ -354,6 +354,29 @@ let test_oracle_catches_torn_compaction () =
     Alcotest.(check int) "clean once truncation is failure-atomic" 0
       (List.length fixed.Fz.Service_fuzz.t_failures)
 
+(* Undo-only logging is the synchronous design point, not a mode of its
+   own: its old name parses to nothing, and the fuzzer's --mode flag ends
+   in the structured usage error, not an exception. *)
+let test_undo_sync_mode_rejected () =
+  Alcotest.(check bool) "mode_of_string" true
+    (Persist.mode_of_string "undo-sync" = None);
+  Alcotest.(check bool) "naive_sync spelling kept" true
+    (Persist.mode_of_string "naive_sync" = Some Persist.Naive_sync);
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../fuzz/main.exe"
+  in
+  let err = Filename.temp_file "fuzz_mode" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s --mode undo-sync 2> %s" (Filename.quote exe)
+         (Filename.quote err))
+  in
+  let text = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.(check int) "usage exit status" 2 code;
+  Alcotest.(check bool) "unknown mode reported" true
+    (String.starts_with ~prefix:"unknown mode \"undo-sync\"\nusage:" text)
+
 let suite =
   [
     Alcotest.test_case "schedule: observe" `Quick test_schedule_observe;
@@ -372,4 +395,6 @@ let suite =
       test_oracle_catches_skipped_decision;
     Alcotest.test_case "oracle catches torn compaction" `Quick
       test_oracle_catches_torn_compaction;
+    Alcotest.test_case "undo-sync mode rejected" `Quick
+      test_undo_sync_mode_rejected;
   ]

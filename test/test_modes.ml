@@ -10,15 +10,15 @@ let test_modes_preserve_semantics () =
   let compiled = compile program in
   let reference = run compiled in
   List.iter
-    (fun (name, mode) ->
+    (fun mode ->
+      let name = Persist.mode_name mode in
       let result = run ~mode compiled in
       Alcotest.(check bool) (name ^ " memory") true
         (Memory.equal ~from:Builder.data_base reference.Executor.memory
            result.Executor.memory);
       Alcotest.(check bool) (name ^ " outputs") true
         (reference.Executor.outputs = result.Executor.outputs))
-    [ ("naive", Persist.Naive_sync); ("undo", Persist.Undo_sync);
-      ("redo", Persist.Redo_nowb); ("volatile", Persist.Volatile) ]
+    Persist.all_modes
 
 let test_sync_modes_cost_more () =
   let program, _, _ = mixed_program ~n:24 () in
@@ -52,14 +52,15 @@ let test_volatile_mode_has_no_persist_traffic () =
   Alcotest.(check int) "no entries" 0 p.Persist.entries_created;
   Alcotest.(check int) "no commits" 0 p.Persist.commits
 
-let test_undo_sync_equals_naive_timing_class () =
-  (* Undo-only forfeits asynchronous persistence: it stalls at
-     boundaries like the naive design (Section 5.1.2). *)
+let test_undo_only_stalls_at_boundaries () =
+  (* Undo-only forfeits asynchronous persistence, which makes it the
+     naive synchronous design point (Section 5.1.2): it stalls at
+     boundaries. *)
   let program, _, _ = mixed_program ~n:16 () in
   let compiled = compile program in
-  let undo = run ~mode:Persist.Undo_sync compiled in
+  let sync = run ~mode:Persist.Naive_sync compiled in
   Alcotest.(check bool) "boundary stalls happen" true
-    (undo.Executor.persist_stats.Persist.boundary_stall_cycles > 0)
+    (sync.Executor.persist_stats.Persist.boundary_stall_cycles > 0)
 
 let suite =
   [
@@ -71,7 +72,7 @@ let suite =
     Alcotest.test_case "volatile mode is inert" `Quick
       test_volatile_mode_has_no_persist_traffic;
     Alcotest.test_case "undo-only stalls at boundaries" `Quick
-      test_undo_sync_equals_naive_timing_class;
+      test_undo_only_stalls_at_boundaries;
   ]
 
 let test_redo_mode_content_path () =

@@ -284,11 +284,6 @@ let test_profiler_joins () =
 
 (* ---------------- Persist stats invariant (fuzz) ---------------- *)
 
-let all_modes =
-  [ ("capri", Persist.Capri); ("naive", Persist.Naive_sync);
-    ("undo", Persist.Undo_sync); ("redo", Persist.Redo_nowb);
-    ("volatile", Persist.Volatile) ]
-
 let check_stats_invariant ctx (p : Persist.stats) =
   let non_negative =
     [ ("entries_created", p.Persist.entries_created);
@@ -327,12 +322,12 @@ let test_nvm_write_invariant_fuzz () =
       let program, threads = Gen.lower prog in
       let compiled = compile program in
       List.iter
-        (fun (mode_name, mode) ->
+        (fun mode ->
           let result = run ~mode ~threads compiled in
           check_stats_invariant
-            (Printf.sprintf "seed %d %s" seed mode_name)
+            (Printf.sprintf "seed %d %s" seed (Persist.mode_name mode))
             result.Executor.persist_stats)
-        all_modes)
+        Persist.all_modes)
     seeds
 
 let test_invariant_survives_crash_recovery () =

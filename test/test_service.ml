@@ -28,6 +28,11 @@ let check_ok t outcome =
   | Ok () -> ()
   | Error v -> Alcotest.failf "oracle: %a" Sla.pp_violation v
 
+let recoverable_modes =
+  List.filter Arch.Persist.recoverable Arch.Persist.all_modes
+
+let three_crashes total = [ total / 4; total / 3; total / 5 ]
+
 let test_wire_round_trip () =
   List.iter
     (fun (status, payload) ->
@@ -212,27 +217,18 @@ let test_txn_oracle_under_crashes_all_modes () =
   List.iter
     (fun mode ->
       let t = Server.plan (mk ~mode ~ops:20 ~txns:3 ()) in
-      let reference = Server.run t in
-      let total = reference.Server.result.Capri_runtime.Executor.instrs in
-      let schedule = [ total / 4; total / 3; total / 5 ] in
-      let outcome = Server.run ~crash_at:schedule t in
+      let reference, outcome = Server.trial ~crash_at:three_crashes t in
       check_ok t outcome;
       Alcotest.(check int) "recoveries" 3 outcome.Server.recoveries;
       Alcotest.(check bool) "streams equal" true
         (outcome.Server.final = reference.Server.final))
-    [
-      Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-      Arch.Persist.Redo_nowb;
-    ]
+    recoverable_modes
 
 let test_oracle_under_crashes_all_modes () =
   List.iter
     (fun mode ->
       let t = Server.plan (mk ~mode ~ops:40 ()) in
-      let reference = Server.run t in
-      let total = reference.Server.result.Capri_runtime.Executor.instrs in
-      let schedule = [ total / 4; total / 3; total / 5 ] in
-      let outcome = Server.run ~crash_at:schedule t in
+      let reference, outcome = Server.trial ~crash_at:three_crashes t in
       check_ok t outcome;
       Alcotest.(check int) "recoveries" 3 outcome.Server.recoveries;
       Alcotest.(check bool) "crash images kept" true
@@ -240,10 +236,7 @@ let test_oracle_under_crashes_all_modes () =
       (* the crashes must not change what the clients ultimately see *)
       Alcotest.(check bool) "streams equal" true
         (outcome.Server.final = reference.Server.final))
-    [
-      Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-      Arch.Persist.Redo_nowb;
-    ]
+    recoverable_modes
 
 let test_volatile_rejects_crashes () =
   let t = Server.plan (mk ~mode:Arch.Persist.Volatile ~ops:10 ()) in
@@ -254,9 +247,7 @@ let test_volatile_rejects_crashes () =
 
 let test_acks_monotone () =
   let t = Server.plan (mk ~ops:30 ()) in
-  let reference = Server.run t in
-  let total = reference.Server.result.Capri_runtime.Executor.instrs in
-  let outcome = Server.run ~crash_at:[ total / 2 ] t in
+  let _, outcome = Server.trial ~crash_at:(fun total -> [ total / 2 ]) t in
   Array.iter
     (fun shard_acks ->
       let prev = ref 0 in
@@ -290,9 +281,9 @@ let test_admission_control () =
 let test_deterministic () =
   let run_once () =
     let t = Server.plan (mk ~ops:40 ()) in
-    let reference = Server.run t in
-    let total = reference.Server.result.Capri_runtime.Executor.instrs in
-    let outcome = Server.run ~crash_at:[ total / 3; total / 4 ] t in
+    let _, outcome =
+      Server.trial ~crash_at:(fun total -> [ total / 3; total / 4 ]) t
+    in
     (outcome.Server.acks, Server.stats t outcome)
   in
   let a1, s1 = run_once () in
@@ -331,11 +322,8 @@ let test_trace_valid_across_crashes () =
   List.iter
     (fun mode ->
       let t = Server.plan (mk ~mode ~ops:20 ~txns:2 ()) in
-      let reference = Server.run t in
-      let total = reference.Server.result.Capri_runtime.Executor.instrs in
-      let schedule = [ total / 4; total / 3; total / 5 ] in
       let obs = Capri_obs.Obs.create () in
-      let outcome = Server.run ~obs ~crash_at:schedule t in
+      let _, outcome = Server.trial ~obs ~crash_at:three_crashes t in
       check_ok t outcome;
       (match Capri_obs.Tracer.validate obs.Capri_obs.Obs.tracer with
       | Ok () -> ()
@@ -357,16 +345,41 @@ let test_trace_valid_across_crashes () =
         (Arch.Persist.mode_name mode ^ ": one downtime window per recovery")
         outcome.Server.recoveries
         (List.length outcome.Server.downtime))
-    [
-      Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-      Arch.Persist.Redo_nowb;
-    ]
+    recoverable_modes
+
+(* An obs bundle only watches: with txns on and a crash schedule, the
+   observed run equals the unobserved one in everything the tables and
+   the oracle read. *)
+let test_obs_does_not_perturb () =
+  let t = Server.plan (mk ~ops:30 ~txns:2 ()) in
+  let _, plain = Server.trial ~crash_at:(Server.even 2) t in
+  let obs = Capri_obs.Obs.create () in
+  let _, seen = Server.trial ~obs ~crash_at:(Server.even 2) t in
+  Alcotest.(check bool) "obs recorded" true
+    (Capri_obs.Tracer.count obs.Capri_obs.Obs.tracer > 0);
+  Alcotest.(check int) "crashed twice" 2 (List.length seen.Server.images);
+  Alcotest.(check bool) "acks" true (plain.Server.acks = seen.Server.acks);
+  Alcotest.(check bool) "final" true (plain.Server.final = seen.Server.final);
+  let durable (i : Arch.Persist.image) =
+    ( i.Arch.Persist.resume, i.Arch.Persist.slots, i.Arch.Persist.journal,
+      i.Arch.Persist.acked, i.Arch.Persist.acked_base,
+      i.Arch.Persist.replayed )
+  in
+  List.iter2
+    (fun (a : Arch.Persist.image) (b : Arch.Persist.image) ->
+      Alcotest.(check bool) "image" true
+        (durable a = durable b
+        && Arch.Memory.equal a.Arch.Persist.nvm b.Arch.Persist.nvm))
+    plain.Server.images seen.Server.images;
+  Alcotest.(check int) "cycles" plain.Server.cycles seen.Server.cycles;
+  Alcotest.(check bool) "stats" true
+    (Server.stats t plain = Server.stats t seen)
 
 let test_slo_report_and_timeline () =
   let t = Server.plan (mk ~ops:40 ()) in
-  let reference = Server.run t in
-  let total = reference.Server.result.Capri_runtime.Executor.instrs in
-  let outcome = Server.run ~crash_at:[ total / 3; total / 2 ] t in
+  let _, outcome =
+    Server.trial ~crash_at:(fun total -> [ total / 3; total / 2 ]) t
+  in
   check_ok t outcome;
   let r = Slo.report ~slo_p99:1_000_000 ~slo_avail:0.5 ~t outcome in
   Alcotest.(check int) "one window per recovery" outcome.Server.recoveries
@@ -441,9 +454,7 @@ let test_latency_labeled_by_op_kind () =
 
 let test_oracle_detects_corruption () =
   let t = Server.plan (mk ~ops:30 ()) in
-  let reference = Server.run t in
-  let total = reference.Server.result.Capri_runtime.Executor.instrs in
-  let outcome = Server.run ~crash_at:[ total / 2 ] t in
+  let _, outcome = Server.trial ~crash_at:(fun total -> [ total / 2 ]) t in
   check_ok t outcome;
   (* a lost acked effect: corrupt the recovered table under an acked key *)
   (match outcome.Server.images with
@@ -815,10 +826,9 @@ let test_compaction_bounds_journal_tail () =
       }
     in
     let t = Server.plan cfg in
-    let total =
-      (Server.run t).Server.result.Capri_runtime.Executor.instrs
+    let _, outcome =
+      Server.trial ~crash_at:(fun total -> [ total * 9 / 10 ]) t
     in
-    let outcome = Server.run ~crash_at:[ total * 9 / 10 ] t in
     check_ok t outcome;
     (t, outcome)
   in
@@ -882,13 +892,10 @@ let prop_compacted_equiv_full_history =
       in
       let serve interval =
         let t = Server.plan (mk_cfg interval) in
-        let total =
-          (Server.run t).Server.result.Capri_runtime.Executor.instrs
-        in
-        let schedule =
+        let schedule total =
           [ max 1 (total / (2 + (seed mod 3))); max 1 (total * 4 / 5) ]
         in
-        let outcome = Server.run ~crash_at:schedule t in
+        let _, outcome = Server.trial ~crash_at:schedule t in
         check_ok t outcome;
         let tables mem =
           List.init 24 (fun k ->
@@ -916,10 +923,9 @@ let test_parallel_recovery_identical () =
       }
     in
     let t = Server.plan cfg in
-    let total =
-      (Server.run t).Server.result.Capri_runtime.Executor.instrs
+    let _, outcome =
+      Server.trial ~crash_at:(fun total -> [ total / 3; total / 2 ]) t
     in
-    let outcome = Server.run ~crash_at:[ total / 3; total / 2 ] t in
     check_ok t outcome;
     (t, outcome)
   in
@@ -983,10 +989,7 @@ let test_recovery_penalty_max_over_cores () =
    of the bench's 10^5..10^6-key scenario. *)
 let test_preloaded_store_recovers () =
   let keys = 10_000 in
-  let preload =
-    Array.init 2 (fun s ->
-        Array.init keys (fun i -> (i + 1, (i + 1 + (s * 17)) mod 251)))
-  in
+  let preload = Kvstore.synthetic_preload ~shards:2 ~keys in
   let client =
     { Client.default with ops_per_shard = 30; key_space = keys; seed = 3 }
   in
@@ -1002,8 +1005,7 @@ let test_preloaded_store_recovers () =
     }
   in
   let t = Server.plan cfg in
-  let total = (Server.run t).Server.result.Capri_runtime.Executor.instrs in
-  let outcome = Server.run ~crash_at:[ total / 2 ] t in
+  let _, outcome = Server.trial ~crash_at:(fun total -> [ total / 2 ]) t in
   check_ok t outcome;
   Alcotest.(check int) "one recovery" 1 outcome.Server.recoveries;
   (* spot-check untouched preloaded keys survive in the final store *)
@@ -1029,7 +1031,7 @@ let test_preloaded_store_recovers () =
   Alcotest.(check bool) "spot checks ran" true (!checked > 0)
 
 (* Property: random multi-key txn batches satisfy the serializability
-   oracle in all five persistence modes, crash-free — the sanity floor
+   oracle in every persistence mode, crash-free — the sanity floor
    under the crash-schedule fuzzing. *)
 let prop_txn_batches_serializable =
   let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1000) in
@@ -1055,10 +1057,7 @@ let prop_txn_batches_serializable =
             QCheck.Test.fail_reportf "seed %d mode %s: %s" seed
               (Arch.Persist.mode_name mode)
               (Format.asprintf "%a" Sla.pp_violation v))
-        [
-          Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-          Arch.Persist.Redo_nowb; Arch.Persist.Volatile;
-        ])
+        Arch.Persist.all_modes)
 
 (* --- the per-shape compile cache in Server.build_store --- *)
 
@@ -1170,6 +1169,8 @@ let suite =
       test_txn_oracle_under_crashes_all_modes;
     Alcotest.test_case "trace valid across crashes, all modes" `Quick
       test_trace_valid_across_crashes;
+    Alcotest.test_case "obs does not perturb a run" `Quick
+      test_obs_does_not_perturb;
     Alcotest.test_case "slo report and timeline" `Quick
       test_slo_report_and_timeline;
     Alcotest.test_case "latency labeled by op kind" `Quick

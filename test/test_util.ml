@@ -1,4 +1,4 @@
-(* Substrate utilities: deterministic RNG, statistics, tables, charts. *)
+(* Substrate utilities: deterministic RNG, statistics, tables. *)
 
 let test_rng_deterministic () =
   let a = Capri_util.Rng.create 42 in
@@ -134,21 +134,6 @@ let test_table_render () =
   Alcotest.(check string) "float fmt" "3.14"
     (Capri_util.Table.fmt_f ~decimals:2 3.14159)
 
-let test_chart_render () =
-  let s =
-    Capri_util.Chart.bar ~width:10 ~title:"t"
-      [ ("a", 1.0); ("bb", 2.0) ]
-  in
-  Alcotest.(check bool) "bars scale" true
-    (String.length s > 0
-     && String.split_on_char '\n' s
-        |> List.exists (fun l -> String.length l > 0 && String.contains l '#'));
-  let g =
-    Capri_util.Chart.grouped ~title:"g" ~series:[ "x"; "y" ]
-      [ ("row", [ 1.0; 0.5 ]) ]
-  in
-  Alcotest.(check bool) "grouped renders" true (String.length g > 0)
-
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
@@ -159,7 +144,6 @@ let suite =
     Alcotest.test_case "histograms" `Quick test_stat_histogram;
     Alcotest.test_case "welford spread" `Quick test_acc_spread;
     Alcotest.test_case "table rendering" `Quick test_table_render;
-    Alcotest.test_case "chart rendering" `Quick test_chart_render;
   ]
 
 let test_zipf_frequency_ratio () =
