@@ -71,8 +71,7 @@ let figure8 ~scale () =
   Printf.printf
     "paper: threshold 32 ~ 1.20 overall, 64 ~ 1.10, 256 ~ 1.051\n";
   Printf.printf "measured: threshold 32 = %.3f, 64 = %.3f, 256 = %.3f\n\n"
-    (overall 0) (overall 1) (overall 3);
-  per_kernel
+    (overall 0) (overall 1) (overall 3)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9: accumulative compiler optimizations.                      *)
@@ -116,14 +115,13 @@ let figure9 ~scale () =
   print_suite_footer table (fun suite ->
       List.mapi (fun i _ -> Table.fmt_f (geo suite i)) configs);
   Table.print table;
-  print_newline ();
-  per_kernel
+  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Figures 10 and 11: dynamic region shape.                            *)
 (* ------------------------------------------------------------------ *)
 
-let region_figure ~scale ~what ~extract () =
+let region_figure ~scale ~extract () =
   let kernels = Runner.kernels ~scale in
   let configs = Options.fig9_configs in
   Runner.prewarm_baselines kernels;
@@ -158,15 +156,13 @@ let region_figure ~scale ~what ~extract () =
   in
   print_suite_footer table (fun suite ->
       List.mapi (fun i _ -> Table.fmt_f ~decimals:1 (geo suite i)) configs);
-  ignore what;
   Table.print table;
-  print_newline ();
-  per_kernel
+  print_newline ()
 
 let figure10 ~scale () =
   print_endline "== Figure 10: average number of instructions per region";
   print_endline "   (dynamic, per accumulative optimization config)";
-  region_figure ~scale ~what:`Instrs
+  region_figure ~scale
     ~extract:(fun rs ->
       float_of_int rs.Executor.total_instrs
       /. float_of_int (max 1 rs.Executor.regions_executed))
@@ -177,7 +173,7 @@ let figure11 ~scale () =
     "== Figure 11: average number of store instructions per region";
   print_endline
     "   (dynamic, checkpoint stores included, per optimization config)";
-  region_figure ~scale ~what:`Stores
+  region_figure ~scale
     ~extract:(fun rs ->
       float_of_int rs.Executor.total_stores
       /. float_of_int (max 1 rs.Executor.regions_executed))
@@ -237,8 +233,7 @@ let nvm_writes ~scale () =
   print_suite_footer table (fun suite ->
       List.mapi (fun i _ -> Table.fmt_f (geo suite i)) configs);
   Table.print table;
-  print_newline ();
-  per_kernel
+  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Headline numbers (Sections 1 and 6.2).                              *)
@@ -274,5 +269,4 @@ let headline ~scale () =
   Printf.printf "  Splash3 gmean          9.1%%       %+.1f%%\n" (p splash3);
   Printf.printf "  overall gmean          5.1%%       %+.1f%%\n" (p overall);
   Printf.printf "  naive (sync) overall   up to 2x   %.2fx gmean, %.2fx max\n\n"
-    naive_overall naive_max;
-  (spec, stamp, splash3, overall, naive_overall, naive_max)
+    naive_overall naive_max

@@ -9,17 +9,6 @@
      --jobs N     measurement parallelism (default: $CAPRI_JOBS if set,
                   else the machine's recommended domain count). Results
                   are byte-identical at any job count.
-     --engine E   execution engine, interp|compiled (default: compiled,
-                  or $CAPRI_ENGINE). Results are engine-independent;
-                  only wall-clock changes. Also narrows the micro
-                  harness's dispatch section to the one engine.
-     --json FILE  also write the machine-readable results as a JSON array
-                  of {"experiment":..., "wall_s":..., "rows":[...]}.
-     --metrics    run every measurement with an enabled metrics registry
-                  and embed the merged (mode-labelled) snapshot in the
-                  JSON report as a final {"experiment": "metrics",
-                  "registry": {...}} entry (printed to stdout when no
-                  --json sink is given). Deterministic at any job count.
 
    Data goes to stdout; timing lines go to stderr so stdout stays
    deterministic across job counts and machines. *)
@@ -37,107 +26,28 @@ let table1 () =
     \    latencies and queue structure identical:)";
   Format.printf "%a@.@." Capri.Config.pp_table Capri.Config.sim_default
 
-(* A named series per benchmark (or summary statistic) — the JSON rows. *)
-type row = { rname : string; values : float list }
-
-let rows_of_per_kernel per_kernel =
-  List.map
-    (fun ((k : W.Kernel.t), vs) -> { rname = k.W.Kernel.name; values = vs })
-    per_kernel
-
-let experiments : (string * (unit -> row list)) list =
+let experiments : (string * (unit -> unit)) list =
   [
-    ("table1", fun () -> table1 (); []);
-    ("fig8", fun () -> rows_of_per_kernel (Figures.figure8 ~scale ()));
-    ("fig9", fun () -> rows_of_per_kernel (Figures.figure9 ~scale ()));
-    ("fig10", fun () -> rows_of_per_kernel (Figures.figure10 ~scale ()));
-    ("fig11", fun () -> rows_of_per_kernel (Figures.figure11 ~scale ()));
-    ( "headline",
-      fun () ->
-        let spec, stamp, splash3, overall, naive_overall, naive_max =
-          Figures.headline ~scale ()
-        in
-        [
-          { rname = "cpu2017_gmean"; values = [ spec ] };
-          { rname = "stamp_gmean"; values = [ stamp ] };
-          { rname = "splash3_gmean"; values = [ splash3 ] };
-          { rname = "overall_gmean"; values = [ overall ] };
-          { rname = "naive_overall_gmean"; values = [ naive_overall ] };
-          { rname = "naive_max"; values = [ naive_max ] };
-        ] );
-    ("nvmwrites", fun () -> rows_of_per_kernel (Figures.nvm_writes ~scale ()));
-    ("ablation", fun () -> Ablation.all ~scale (); []);
-    ("sensitivity", fun () -> Sensitivity.all (); []);
-    ("micro", fun () -> Micro.print (); []);
+    ("table1", table1);
+    ("fig8", Figures.figure8 ~scale);
+    ("fig9", Figures.figure9 ~scale);
+    ("fig10", Figures.figure10 ~scale);
+    ("fig11", Figures.figure11 ~scale);
+    ("headline", Figures.headline ~scale);
+    ("nvmwrites", Figures.nvm_writes ~scale);
+    ("ablation", Ablation.all ~scale);
+    ("sensitivity", Sensitivity.all);
+    ("micro", Micro.print);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* JSON output (hand-rolled: the schema is flat and fixed).            *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  match Float.classify_float f with
-  | FP_nan | FP_infinite -> "null"
-  | _ -> Printf.sprintf "%.6g" f
-
-let write_json oc ?registry entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (name, wall_s, rows) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "  {\"experiment\": \"%s\", \"wall_s\": %s, \"rows\": ["
-           (json_escape name) (json_float wall_s));
-      List.iteri
-        (fun j { rname; values } ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf "{\"name\": \"%s\", \"values\": [%s]}"
-               (json_escape rname)
-               (String.concat ", " (List.map json_float values))))
-        rows;
-      Buffer.add_string buf "]}")
-    entries;
-  Option.iter
-    (fun doc ->
-      if entries <> [] then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "  {\"experiment\": \"metrics\", \"registry\": %s}"
-           (String.trim doc)))
-    registry;
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* Entry point.                                                        *)
-(* ------------------------------------------------------------------ *)
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--jobs N] [--engine E] [--json FILE] [experiment ...]\n\
+    "usage: main.exe [--jobs N] [experiment ...]\n\
      available experiments: %s\n"
     (String.concat ", " (List.map fst experiments))
 
 let () =
   let jobs = ref 0 in
-  let json_file = ref None in
-  let want_metrics = ref false in
   let selected = ref [] in
   let bad msg = Printf.eprintf "%s\n" msg; usage (); exit 1 in
   let int_arg flag v =
@@ -151,22 +61,8 @@ let () =
     | "--help" :: _ | "-h" :: _ -> usage (); exit 0
     | "--jobs" :: v :: rest -> jobs := int_arg "--jobs" v; parse rest
     | [ "--jobs" ] -> bad "--jobs expects an argument"
-    | "--json" :: f :: rest -> json_file := Some f; parse rest
-    | [ "--json" ] -> bad "--json expects an argument"
-    | "--engine" :: v :: rest ->
-      (match Capri.Executor.engine_of_string v with
-       | Some e ->
-         Capri.Executor.default_engine := e;
-         Micro.dispatch_engines := [ e ]
-       | None -> bad "--engine expects 'interp' or 'compiled'");
-      parse rest
-    | [ "--engine" ] -> bad "--engine expects an argument"
-    | "--metrics" :: rest -> want_metrics := true; parse rest
     | a :: rest when String.length a >= 7 && String.sub a 0 7 = "--jobs=" ->
       jobs := int_arg "--jobs" (String.sub a 7 (String.length a - 7));
-      parse rest
-    | a :: rest when String.length a >= 7 && String.sub a 0 7 = "--json=" ->
-      json_file := Some (String.sub a 7 (String.length a - 7));
       parse rest
     | a :: rest ->
       if not (List.mem_assoc a experiments) then
@@ -181,35 +77,9 @@ let () =
     | l -> l
   in
   let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
-  (* Open the JSON sink before hours of simulation, not after. *)
-  let json_oc =
-    Option.map
-      (fun file ->
-        try open_out file
-        with Sys_error msg -> Printf.eprintf "--json: %s\n" msg; exit 1)
-      !json_file
-  in
   Runner.init ~jobs;
-  if !want_metrics then Runner.enable_metrics ();
   Fun.protect ~finally:Runner.shutdown @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let entries =
-    List.map
-      (fun name ->
-        let f = List.assoc name experiments in
-        let e0 = Unix.gettimeofday () in
-        let rows = f () in
-        (name, Unix.gettimeofday () -. e0, rows))
-      selected
-  in
-  let total = Unix.gettimeofday () -. t0 in
-  let registry = Runner.metrics_snapshot () in
-  (match json_oc with
-   | Some oc -> write_json oc ?registry entries
-   | None ->
-     Option.iter
-       (fun doc ->
-         print_endline "== merged metrics registry";
-         print_string doc)
-       registry);
-  Printf.eprintf "total harness time: %.1fs (%d jobs)\n" total jobs
+  List.iter (fun name -> (List.assoc name experiments) ()) selected;
+  Printf.eprintf "total harness time: %.1fs (%d jobs)\n"
+    (Unix.gettimeofday () -. t0) jobs

@@ -45,8 +45,7 @@ let test_run =
    (every iteration feeds the persist front proxy, exercising the batched
    word-delta path) and a branch-heavy loop (a data-dependent diamond per
    iteration, so no block fuses across the backedge). Each shape runs
-   under both engines so the gap reads off one table; `--engine` on the
-   harness restricts the section to a single engine. *)
+   under both engines so the gap reads off one table. *)
 
 let rr = Reg.of_int
 let rg i = Builder.reg (rr i)
@@ -118,11 +117,6 @@ let dispatch_programs ~trips =
     ("branches", branch_program ~trips);
   ]
 
-(* Engines the dispatch section covers; bench/main.exe's `--engine`
-   narrows this to one. *)
-let dispatch_engines : Executor.engine list ref =
-  ref [ Executor.Interp; Executor.Compiled ]
-
 let dispatch_tests () =
   let shapes = dispatch_programs ~trips:10_000 in
   List.concat_map
@@ -144,7 +138,7 @@ let dispatch_tests () =
                  match Executor.run session with
                  | Executor.Finished r -> ignore r.Executor.cycles
                  | Executor.Crashed _ -> assert false)))
-        !dispatch_engines)
+        [ Executor.Interp; Executor.Compiled ])
     shapes
 
 let benchmark () =

@@ -41,38 +41,6 @@ let par_map f xs =
   match !pool with Some p -> Pool.map_list p f xs | None -> List.map f xs
 
 (* ------------------------------------------------------------------ *)
-(* Optional metrics accumulation (main.exe --metrics).                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One harness-wide registry; every instrumented measurement runs with a
-   private metrics-only bundle and folds it in under the mutex on
-   completion. Per-run series carry mode (and cache-level) labels, runs
-   are deterministic and the fold is commutative, so the final snapshot
-   is byte-identical at any job count. *)
-module Obs = Capri_obs.Obs
-module Metrics = Capri_obs.Metrics
-
-let metrics : Metrics.t option ref = ref None
-let metrics_mutex = Mutex.create ()
-let enable_metrics () = metrics := Some (Metrics.create ())
-
-let with_run_obs f =
-  match !metrics with
-  | None -> f Obs.null
-  | Some dst ->
-    let m = Metrics.create () in
-    let obs =
-      { Obs.metrics = m;
-        tracer = Capri_obs.Tracer.null;
-        regions = Capri_obs.Profiler.null }
-    in
-    let r = f obs in
-    Mutex.protect metrics_mutex (fun () -> Metrics.merge_into ~dst m);
-    r
-
-let metrics_snapshot () = Option.map Metrics.to_json !metrics
-
-(* ------------------------------------------------------------------ *)
 (* Volatile baselines.                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -113,10 +81,7 @@ let measure ?(mode = Persist.Capri) ?(config = Config.sim_default)
     { (Config.with_threshold options.Options.threshold config) with
       Config.conflict_fence = fence }
   in
-  let result =
-    with_run_obs (fun obs ->
-        run ~config ~mode ~obs ~threads:k.W.Kernel.threads compiled)
-  in
+  let result = run ~config ~mode ~threads:k.W.Kernel.threads compiled in
   {
     kernel = k;
     baseline_cycles = baseline_cycles k;

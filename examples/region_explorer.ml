@@ -43,12 +43,8 @@ let () =
   (* Dynamic region timeline under the full optimization set. *)
   let compiled = Pipeline.compile Options.all_opts kernel.W.Kernel.program in
   let tr = Trace.create () in
-  let session =
-    Executor.start ~trace:tr ~program:compiled.Compiled.program
-      ~threads:kernel.W.Kernel.threads ()
-  in
-  (match Executor.run session with
-   | Executor.Finished _ | Executor.Crashed _ -> ());
+  ignore
+    (Verify.reference ~trace:tr ~threads:kernel.W.Kernel.threads compiled);
   print_endline "dynamic region timeline (all optimizations):";
   print_string (Trace.render ~max_rows:24 tr);
   print_newline ();

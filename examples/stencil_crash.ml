@@ -40,16 +40,11 @@ let () =
      print_endline "grid state after recovery matches the crash-free run"
    | Error e -> Printf.printf "MISMATCH: %s\n" e);
 
-  (* Show the per-core resume machinery once more, explicitly. *)
-  let session =
-    Executor.start ~mode:Persist.Capri ~program:compiled.Compiled.program
-      ~threads:kernel.W.Kernel.threads ()
-  in
-  match Executor.run ~crash_at_instr:crash_point session with
-  | Executor.Finished _ -> ()
-  | Executor.Crashed { image; at_cycle; _ } ->
+  (* Show the per-core resume machinery once more: the recovery hook
+     sees each crash image before the cores resume. *)
+  let on_recover (crash : Executor.crash) _ =
     Printf.printf "power failed at cycle %d; per-core resume points:\n"
-      at_cycle;
+      crash.Executor.at_cycle;
     Array.iteri
       (fun core resume ->
         match (resume : Persist.resume) with
@@ -59,4 +54,8 @@ let () =
         | Persist.Done -> Printf.printf "  core %d -> already finished\n" core
         | Persist.Never_started ->
           Printf.printf "  core %d -> restart from entry\n" core)
-      image.Persist.resume
+      crash.Executor.image.Persist.resume
+  in
+  ignore
+    (Verify.run_with_crashes ~threads:kernel.W.Kernel.threads ~on_recover
+       ~crash_at:[ crash_point ] compiled)

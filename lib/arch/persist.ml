@@ -397,21 +397,6 @@ let create ?(obs = Obs.null) config ~mode =
     obs;
   }
 
-let debug_line =
-  match Sys.getenv_opt "CAPRI_DEBUG_LINE" with
-  | Some s -> (try Some (int_of_string s) with _ -> None)
-  | None -> None
-
-(* Whether any line is being debugged at all: the hot paths test this
-   cheap flag before touching [dbg] — [Printf.ifprintf] still interprets
-   the format string (allocating its ignore-continuations), which at
-   millions of calls per run is real simulation time. *)
-let dbg_on = debug_line <> None
-
-let dbg line fmt =
-  if debug_line = Some line then Printf.eprintf fmt
-  else Printf.ifprintf stderr fmt
-
 let mode t = t.mode
 
 (* Thin snapshot over the registry cells: the record the callers (tests,
@@ -488,9 +473,6 @@ let nvm_write ?(mask = 0xFF) t ~kind ~line ~data ~version =
       stamps.(base + o) <- version
     end
   done;
-  if dbg_on then
-    dbg line "nvm_write line=%d mask=%x wrote=%x v=%d data2=%d\n" line mask
-      !write_mask version data.(2);
   if !write_mask <> 0 then begin
     Memory.write_line_masked t.nvm line data !write_mask;
     true
@@ -695,11 +677,6 @@ let compact t cs =
 (* Phase 2: copy redo data of valid entries, apply checkpoint slots, update
    the resume record, and schedule the space release. *)
 let do_commit t cs region info now =
-  (match debug_line with
-   | Some l when List.exists (fun e -> e.line = l) region.bentries ->
-     Printf.eprintf "commit seq=%d resume=%d now=%d entries=%d\n" region.bseq
-       info.resume_boundary now region.bcount
-   | _ -> ());
   Metrics.Counter.inc t.c.c_commits;
   let commit_lines = ref (commit_entries t cs now region.bentries) in
   apply_slots cs region.bslots;
@@ -954,7 +931,15 @@ let store_conflict t ~core ~cycle ~line ~mask =
 
 (* ---------------- core-facing operations ---------------- *)
 
-let on_store t ~core ~cycle ~line ~mask ~undo ~redo ~version =
+(* Phase-1 entry creation, fed a single word delta. The proxy entry
+   itself is the accumulation buffer: a merge is one in-place word write
+   (the entry's unmasked words are never observed — recovery and phase 2
+   both apply [mask] — so refreshing them would be wasted work), and only
+   entry creation snapshots the line. [memory] is the architectural
+   memory *after* the store, so the undo image is the snapshot with the
+   stored word rolled back to [old]. *)
+let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
+    ~memory =
   match t.mode with
   | Volatile -> 0
   | Capri | Naive_sync | Redo_nowb ->
@@ -963,70 +948,9 @@ let on_store t ~core ~cycle ~line ~mask ~undo ~redo ~version =
     (* Merge with a front-resident entry of the same open region. *)
     (match fi_find cs line with
      | e when e.seq = cs.open_seq ->
-       e.redo <- redo;
-       e.mask <- e.mask lor mask;
-       e.version <- version;
-       if dbg_on then
-         dbg line "merge line=%d seq=%d mask=%x v=%d redo2=%d\n" line e.seq
-           e.mask version redo.(2);
-       pending_add_mask t ~core ~line ~mask;
-       Metrics.Counter.inc t.c.c_entries_merged;
-       0
-     | _ ->
-       let resolved =
-         if cs.front_data >= t.config.Config.front_proxy_entries then begin
-           let target = cycle in
-           let finish =
-             stall_until t ~cycle (fun () ->
-                 cs.front_data < t.config.Config.front_proxy_entries)
-           in
-           let stall = max 0 (finish - target) in
-           Metrics.Counter.add t.c.c_store_stall_cycles stall;
-           stall
-         end
-         else 0
-       in
-       let e =
-         { line; undo; redo; mask; version; valid = true; seq = cs.open_seq }
-       in
-       if dbg_on then
-         dbg line "entry line=%d seq=%d mask=%x v=%d redo2=%d undo2=%d\n" line
-           e.seq mask version redo.(2) undo.(2);
-       pending_inc t ~core:cs.id ~line ~mask;
-       Fifo.push cs.front (Data e);
-       cs.front_data <- cs.front_data + 1;
-       cs.open_entries <- cs.open_entries + 1;
-       fi_bind cs line e;
-       (* The transfer to the back-end cannot begin in the creation
-          cycle, so a same-cycle second store to the line still merges. *)
-       cs.next_drain <- max cs.next_drain (cycle + 1);
-       t.wake <- min t.wake (max cs.next_drain 0);
-       Metrics.Counter.inc t.c.c_entries_created;
-       resolved)
-
-(* Same phase-1 protocol as {!on_store}, but fed a single word delta
-   instead of caller-built line snapshots. The proxy entry itself is the
-   accumulation buffer: a merge is one in-place word write (the entry's
-   unmasked words are never observed — recovery and phase 2 both apply
-   [mask] — so refreshing them would be wasted work), and only entry
-   creation snapshots the line. [memory] is the architectural memory
-   *after* the store, so the undo image is the snapshot with the stored
-   word rolled back to [old]. *)
-let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
-    ~memory =
-  match t.mode with
-  | Volatile -> 0
-  | Capri | Naive_sync | Redo_nowb ->
-    let cs = t.cores.(core) in
-    advance t ~cycle;
-    (match fi_find cs line with
-     | e when e.seq = cs.open_seq ->
        e.redo.(word) <- value;
        e.mask <- e.mask lor mask;
        e.version <- version;
-       if dbg_on then
-         dbg line "merge line=%d seq=%d mask=%x v=%d redo2=%d\n" line e.seq
-           e.mask version e.redo.(2);
        pending_add_mask t ~core ~line ~mask;
        Metrics.Counter.inc t.c.c_entries_merged;
        0
@@ -1050,14 +974,13 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
        let e =
          { line; undo; redo; mask; version; valid = true; seq = cs.open_seq }
        in
-       if dbg_on then
-         dbg line "entry line=%d seq=%d mask=%x v=%d redo2=%d undo2=%d\n" line
-           e.seq mask version redo.(2) undo.(2);
        pending_inc t ~core:cs.id ~line ~mask;
        Fifo.push cs.front (Data e);
        cs.front_data <- cs.front_data + 1;
        cs.open_entries <- cs.open_entries + 1;
        fi_bind cs line e;
+       (* The transfer to the back-end cannot begin in the creation
+          cycle, so a same-cycle second store to the line still merges. *)
        cs.next_drain <- max cs.next_drain (cycle + 1);
        t.wake <- min t.wake (max cs.next_drain 0);
        Metrics.Counter.inc t.c.c_entries_created;
@@ -1165,9 +1088,6 @@ let on_writeback t ~cycle ~line ~data ~version =
     ()
   | Capri | Naive_sync ->
     advance t ~cycle;
-    if dbg_on then
-      dbg line "writeback line=%d v=%d data2=%d cyc=%d\n" line version data.(2)
-        cycle;
     ignore (nvm_write t ~kind:`Wb ~line ~data ~version);
     t.nvm_wq_free <- max t.nvm_wq_free cycle + t.config.Config.nvm_write_service;
     (* Scan the back-end proxies: invalidate overtaken redo entries. *)
@@ -1350,8 +1270,6 @@ let crash_recover ?(jobs = 1) t ~cycle =
           | P_commit { redo; slots; info } ->
             List.iter
               (fun e ->
-                dbg e.line "recover-redo line=%d seq=%d v=%d redo2=%d\n" e.line
-                  e.seq e.version e.redo.(2);
                 ignore
                   (nvm_write ~mask:e.mask t ~kind:`Redo ~line:e.line
                      ~data:e.redo ~version:e.version))
@@ -1378,8 +1296,6 @@ let crash_recover ?(jobs = 1) t ~cycle =
                first. Staged slots of this region are discarded. *)
             List.iter
               (fun e ->
-                dbg e.line "undo line=%d seq=%d mask=%x v=%d undo2=%d\n" e.line
-                  e.seq e.mask e.version e.undo.(2);
                 Memory.write_line_masked t.nvm e.line e.undo e.mask;
                 let stamps = stamp_page t e.line in
                 let base = (e.line land 255) * Config.line_words in

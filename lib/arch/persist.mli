@@ -153,25 +153,19 @@ val store_conflict :
     carry word masks and recovery applies them word-selectively, so
     false sharing of a line across cores needs no fence at all. *)
 
-val on_store :
-  t -> core:int -> cycle:int -> line:int -> mask:int -> undo:int array ->
-  redo:int array -> version:int -> int
-(** Phase-1 entry creation; returns stall cycles (front-end proxy full). *)
-
 val on_store_word :
   t -> core:int -> cycle:int -> line:int -> mask:int -> word:int ->
   value:int -> old:int -> version:int -> memory:Memory.t -> int
-(** Word-delta form of {!on_store} — the executor's hot path. Instead of
-    receiving caller-built undo/redo line snapshots, the engine is told
-    which word of [line] changed ([word], with [mask] its single-bit
-    line mask), the [value] written and the [old] value it replaced;
-    [memory] is the architectural memory {e after} the store. A merge
-    into the open region's front-resident entry is a single in-place
-    word update (the entry's unmasked words are unobservable: phase 2
-    and recovery apply the mask), and only entry creation snapshots the
-    line — so a store costs no allocation at all on the merge path and
-    one line copy on the create path, versus two per store for
-    {!on_store}. Returns stall cycles exactly as {!on_store} does. *)
+(** Phase-1 entry creation for one stored word; returns stall cycles
+    (front-end proxy full). The engine is told which word of [line]
+    changed ([word], with [mask] its single-bit line mask), the [value]
+    written and the [old] value it replaced; [memory] is the
+    architectural memory {e after} the store. A merge into the open
+    region's front-resident entry is a single in-place word update (the
+    entry's unmasked words are unobservable: phase 2 and recovery apply
+    the mask), and only entry creation snapshots the line — so a store
+    costs no allocation at all on the merge path and one line copy on
+    the create path. *)
 
 val on_ckpt : t -> core:int -> slot:int -> value:int -> unit
 (** Stage into the register-file storage (merged per slot per region). *)

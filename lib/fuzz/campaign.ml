@@ -311,49 +311,51 @@ let run_trial cfg k =
 
 (* ---------------- the campaign loop ---------------- *)
 
+(* One wave of [jobs] speculative trials at a time. Results are
+   accepted strictly in ascending trial order and the budget cut depends
+   only on those in-order costs, so the wave size never changes which
+   trials are accepted — only how much past-the-cut work is thrown
+   away. *)
+let waves ~jobs ~budget ~cost run_trial =
+  Pool.with_pool ~jobs (fun pool ->
+      let rec wave next spent accepted =
+        let futures =
+          List.init jobs (fun i ->
+              Pool.submit pool (fun () -> run_trial (next + i)))
+        in
+        let spent, accepted, cut =
+          List.fold_left
+            (fun (spent, accepted, cut) future ->
+              let t = Pool.await pool future in
+              if cut then (spent, accepted, cut)
+              else
+                let spent = spent + cost t in
+                (spent, t :: accepted, spent >= budget))
+            (spent, accepted, false) futures
+        in
+        if cut then List.rev accepted else wave (next + jobs) spent accepted
+      in
+      wave 0 0 [])
+
 let run cfg =
   let cfg = { cfg with jobs = max 1 cfg.jobs; budget = max 1 cfg.budget } in
-  Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-      let trials = ref 0 in
-      let schedules = ref 0 in
-      let crash_checks = ref 0 in
-      let diff_checks = ref 0 in
-      let failures = ref [] in
-      let executions () = !crash_checks + !diff_checks in
-      let next = ref 0 in
-      let continue = ref true in
-      while !continue do
-        (* One wave of [jobs] speculative trials. Results are folded in
-           strictly ascending trial order and the budget cut depends only
-           on those in-order totals, so the wave size never changes the
-           report — only how much past-the-cut work is thrown away. *)
-        let wave = List.init cfg.jobs (fun i -> !next + i) in
-        next := !next + cfg.jobs;
-        let futures =
-          List.map (fun k -> Pool.submit pool (fun () -> run_trial cfg k)) wave
-        in
-        List.iter
-          (fun future ->
-            let t = Pool.await pool future in
-            if !continue then begin
-              incr trials;
-              schedules := !schedules + t.t_schedules;
-              crash_checks := !crash_checks + t.t_crash_checks;
-              diff_checks := !diff_checks + t.t_diff_checks;
-              failures := !failures @ t.t_failures;
-              if executions () >= cfg.budget then continue := false
-            end)
-          futures
-      done;
-      {
-        cfg;
-        trials = !trials;
-        schedules = !schedules;
-        crash_checks = !crash_checks;
-        diff_checks = !diff_checks;
-        executions = executions ();
-        failures = !failures;
-      })
+  let trials =
+    waves ~jobs:cfg.jobs ~budget:cfg.budget
+      ~cost:(fun t -> t.t_crash_checks + t.t_diff_checks)
+      (run_trial cfg)
+  in
+  let sum f = List.fold_left (fun n t -> n + f t) 0 trials in
+  let crash_checks = sum (fun t -> t.t_crash_checks) in
+  let diff_checks = sum (fun t -> t.t_diff_checks) in
+  {
+    cfg;
+    trials = List.length trials;
+    schedules = sum (fun t -> t.t_schedules);
+    crash_checks;
+    diff_checks;
+    executions = crash_checks + diff_checks;
+    failures = List.concat_map (fun t -> t.t_failures) trials;
+  }
 
 (* ---------------- rendering ---------------- *)
 

@@ -59,6 +59,14 @@ type report = {
 val run_trial : cfg -> int -> trial
 (** One trial, sequential, pure in [cfg.seed + k] — exposed for tests. *)
 
+val waves :
+  jobs:int -> budget:int -> cost:('t -> int) -> (int -> 't) -> 't list
+(** [waves ~jobs ~budget ~cost run_trial] runs trials [0, 1, ...] in
+    speculative waves of [jobs] over a domain pool ([jobs >= 1]) and
+    returns, in trial order, the trials accepted up to and including the
+    one whose cumulative [cost] reaches [budget]. The result is the same
+    at any [jobs]. Both campaigns fold their reports from it. *)
+
 val run : cfg -> report
 
 val render : report -> string

@@ -1,8 +1,8 @@
 (* Crash fuzzing of the serving layer.
 
-   Mirrors Campaign's structure — seed-pure trials fanned out over the
-   Pool in waves, budget counted in oracle executions, reports identical
-   at any job count — but the subject is capri.service: each trial plans
+   Mirrors Campaign's structure — seed-pure trials fanned out in
+   Campaign.waves, budget counted in oracle executions, reports
+   identical at any job count — but the subject is capri.service: each trial plans
    a small store from a seed-derived client workload (optionally weaving
    in multi-key transactions), then drives crash schedules through
    Server.run in every requested recoverable persistence mode, holding
@@ -19,7 +19,6 @@
    on each candidate subset. *)
 
 module Arch = Capri_arch
-module Pool = Capri_util.Pool
 module Rng = Capri_util.Rng
 module Runtime = Capri_runtime
 module Svc = Capri_service
@@ -451,40 +450,18 @@ let run_trial cfg k =
 
 let run cfg =
   let cfg = { cfg with jobs = max 1 cfg.jobs; budget = max 1 cfg.budget } in
-  Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-      let trials = ref 0 in
-      let schedules = ref 0 in
-      let checks = ref 0 in
-      let failures = ref [] in
-      let next = ref 0 in
-      let continue = ref true in
-      while !continue do
-        (* same wave discipline as Campaign.run: in-order folding makes
-           the report independent of the job count *)
-        let wave = List.init cfg.jobs (fun i -> !next + i) in
-        next := !next + cfg.jobs;
-        let futures =
-          List.map (fun k -> Pool.submit pool (fun () -> run_trial cfg k)) wave
-        in
-        List.iter
-          (fun future ->
-            let t = Pool.await pool future in
-            if !continue then begin
-              incr trials;
-              schedules := !schedules + t.t_schedules;
-              checks := !checks + t.t_checks;
-              failures := !failures @ t.t_failures;
-              if !checks >= cfg.budget then continue := false
-            end)
-          futures
-      done;
-      {
-        cfg;
-        trials = !trials;
-        schedules = !schedules;
-        checks = !checks;
-        failures = !failures;
-      })
+  let trials =
+    Campaign.waves ~jobs:cfg.jobs ~budget:cfg.budget
+      ~cost:(fun t -> t.t_checks) (run_trial cfg)
+  in
+  let sum f = List.fold_left (fun n t -> n + f t) 0 trials in
+  {
+    cfg;
+    trials = List.length trials;
+    schedules = sum (fun t -> t.t_schedules);
+    checks = sum (fun t -> t.t_checks);
+    failures = List.concat_map (fun t -> t.t_failures) trials;
+  }
 
 (* ---------------- rendering ---------------- *)
 

@@ -16,20 +16,10 @@ type engine = Interp | Compiled
 
 (* The compiled tier is the default: the interpreter remains as the
    reference engine (the differential tests hold the two to identical
-   results). CAPRI_ENGINE=interp flips the default for a whole process,
-   e.g. to bisect a suspected engine divergence without recompiling. *)
-let default_engine =
-  ref
-    (match Sys.getenv_opt "CAPRI_ENGINE" with
-     | Some "interp" -> Interp
-     | Some _ | None -> Compiled)
+   results). *)
+let default_engine = ref Compiled
 
 let engine_name = function Interp -> "interp" | Compiled -> "compiled"
-
-let engine_of_string = function
-  | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
-  | _ -> None
 
 exception Livelock of { core : int; region : string; steps : int }
 

@@ -30,12 +30,12 @@ val main_thread : Program.t -> thread_spec
 type engine = Interp | Compiled
 
 val default_engine : engine ref
-(** Engine used when {!start}/{!resume} get no [?engine]. Initialized
-    from the [CAPRI_ENGINE] environment variable ("interp" selects the
-    interpreter; anything else, or unset, the compiled tier). *)
+(** Engine used when {!start}/{!resume} get no [?engine] (initially
+    [Compiled]). Callers that cannot pass [?engine] — the
+    interp-vs-compiled service differential test flips it around
+    the service layer's [Server.run] — set it here. *)
 
 val engine_name : engine -> string
-val engine_of_string : string -> engine option
 
 exception Livelock of { core : int; region : string; steps : int }
 (** Raised by {!run} when one thread exceeds the per-thread step budget:

@@ -16,25 +16,17 @@ let default_threads (compiled : Compiled.t) =
 let threshold_of (compiled : Compiled.t) =
   compiled.Compiled.options.Capri_compiler.Options.threshold
 
-let reference ?(config = Arch.Config.sim_default) ?(mode = Arch.Persist.Capri)
-    ?trace ?threads compiled =
-  let threads =
-    match threads with Some t -> t | None -> default_threads compiled
-  in
-  let session =
-    Executor.start ~config ~mode ?trace
-      ~check_threshold:(threshold_of compiled)
-      ~program:compiled.Compiled.program ~threads ()
-  in
-  match Executor.run session with
-  | Executor.Finished r -> r
-  | Executor.Crashed _ -> assert false
-
+(* The one crash loop: start, then per scheduled crash point run until
+   the crash fires, replay the recovery blocks, hand the caller the
+   crash and the per-core block counts, and resume from the recovered
+   image. The empty schedule is the crash-free run. *)
 let run_with_crashes ?(config = Arch.Config.sim_default)
-    ?(mode = Arch.Persist.Capri) ?threads ~crash_at compiled =
+    ?(mode = Arch.Persist.Capri) ?journal_io ?recovery_jobs ?obs ?trace
+    ?threads ?(on_recover = fun _ _ -> ()) ~crash_at compiled =
   let threads =
     match threads with Some t -> t | None -> default_threads compiled
   in
+  let check_threshold = threshold_of compiled in
   let recoveries = ref 0 and blocks = ref 0 in
   (* Outputs emitted before each crash are already outside the machine:
      collect them across sessions. *)
@@ -67,26 +59,36 @@ let run_with_crashes ?(config = Arch.Config.sim_default)
       match Executor.run ~crash_at_instr:at session with
       | Executor.Finished r ->
         (* The program ended before the crash point: nothing to crash. *)
-        ignore rest;
         finalize r
-      | Executor.Crashed { image; outputs_before; _ } ->
+      | Executor.Crashed crash ->
+        let image = crash.Executor.image in
         incr recoveries;
-        prepend outputs_before;
-        blocks := !blocks + Recovery.apply_recovery_blocks compiled image;
-        let session =
-          Executor.resume ~config ~mode
-            ~check_threshold:(threshold_of compiled) ~compiled ~image ~threads
-            ()
+        prepend crash.Executor.outputs_before;
+        let per_core =
+          Recovery.apply_recovery_blocks_per_core ?jobs:recovery_jobs
+            compiled image
         in
-        go session rest)
+        blocks := !blocks + Array.fold_left ( + ) 0 per_core;
+        on_recover crash per_core;
+        go
+          (Executor.resume ~config ~mode ?journal_io ?recovery_jobs ?trace
+             ?obs ~check_threshold ~compiled ~image ~threads ())
+          rest)
   in
-  let session =
-    Executor.start ~config ~mode
-      ~check_threshold:(threshold_of compiled)
-      ~program:compiled.Compiled.program ~threads ()
+  let result =
+    go
+      (Executor.start ~config ~mode ?journal_io ?recovery_jobs ?trace ?obs
+         ~check_threshold ~program:compiled.Compiled.program ~threads ())
+      crash_at
   in
-  let result = go session crash_at in
   (result, !recoveries, !blocks)
+
+let reference ?config ?mode ?journal_io ?obs ?trace ?threads compiled =
+  let result, _, _ =
+    run_with_crashes ?config ?mode ?journal_io ?obs ?trace ?threads
+      ~crash_at:[] compiled
+  in
+  result
 
 let is_subsequence small big =
   let rec go s b =

@@ -22,25 +22,36 @@ type failure = {
   reason : string;
 }
 
-val reference :
-  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?trace:Trace.t ->
-  ?threads:Executor.thread_spec list ->
-  Capri_compiler.Compiled.t -> Executor.result
-(** Crash-free run of the compiled program (default mode: [Capri]). Pass
-    a [trace] to record the boundary timeline — the fuzzer's schedule
-    enumeration reads boundary instruction indices from it. *)
-
 val run_with_crashes :
-  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode ->
+  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
+  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t -> ?trace:Trace.t ->
   ?threads:Executor.thread_spec list ->
+  ?on_recover:(Executor.crash -> int array -> unit) ->
   crash_at:int list -> Capri_compiler.Compiled.t ->
   Executor.result * int * int
-(** Runs, injecting a crash + recovery at each listed global instruction
-    count (interpreted within each successive resumed run). Returns the
+(** The one crash loop. Runs, injecting a crash + recovery at each listed
+    global instruction count (interpreted within each successive resumed
+    run; a point past the end of the run fires nothing). Returns the
     final result, recoveries performed, and recovery blocks executed.
+
     [mode] selects the persistence design point under test (default
     [Capri]; [Volatile] is not crash-recoverable and makes no sense
-    here). *)
+    here). [journal_io], [obs] and [trace] go to every session the loop
+    starts or resumes; [recovery_jobs] also sets the pool width of the
+    recovery-block replay. [on_recover] is called once per fired crash,
+    after recovery-block replay and before the resume, with the crash
+    and the per-core block counts. Outputs emitted before each crash are
+    prepended to the final streams (under [journal_io] there are none). *)
+
+val reference :
+  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
+  ?obs:Capri_obs.Obs.t -> ?trace:Trace.t ->
+  ?threads:Executor.thread_spec list ->
+  Capri_compiler.Compiled.t -> Executor.result
+(** [run_with_crashes ~crash_at:[]]: the crash-free run (default mode:
+    [Capri]). Pass a [trace] to record the boundary timeline — the
+    fuzzer's schedule enumeration reads boundary instruction indices
+    from it. *)
 
 val check_equivalence :
   reference:Executor.result -> candidate:Executor.result ->

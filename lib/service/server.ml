@@ -144,15 +144,11 @@ let calibrate cfg =
     build_store ~batch:cfg.batch cfg.options ~key_space:16
       ~requests:workload.Client.requests
   in
-  let session =
-    Executor.start ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-      ~check_threshold:cfg.options.Comp.Options.threshold
-      ~program:compiled.Comp.Compiled.program
-      ~threads:(Kvstore.thread_specs kv) ()
+  let r =
+    Runtime.Verify.reference ~config:cfg.config ~mode:cfg.mode
+      ~journal_io:true ~threads:(Kvstore.thread_specs kv) compiled
   in
-  match Executor.run session with
-  | Executor.Finished r -> max 1 (r.Executor.cycles / 32)
-  | Executor.Crashed _ -> assert false
+  max 1 (r.Executor.cycles / 32)
 
 let admit ~period ~depth ~svc requests =
   let rejected = ref [] in  (* arrival cycles, reversed *)
@@ -517,14 +513,10 @@ let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
   let cfg = t.cfg in
   if cfg.mode = Arch.Persist.Volatile && crash_at <> [] then
     invalid_arg "Server.run: a volatile store cannot recover from a crash";
-  let threads = Kvstore.thread_specs t.kv in
   let cores = t.kv.Kvstore.cores in
-  let threshold = cfg.options.Comp.Options.threshold in
   let seen = Array.make cores 0 in
   let acks = Array.make cores [] in  (* reversed accumulation *)
   let images = ref [] in
-  let recoveries = ref 0 in
-  let blocks_total = ref 0 in
   let replayed_total = ref 0 in
   let tail_total = ref 0 in
   let rec_cycles = ref 0 in
@@ -540,76 +532,49 @@ let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
         seen.(s) <- seen.(s) + List.length fresh)
       per_core
   in
-  let rec go session = function
-    | [] -> (
-      match Executor.run session with
-      | Executor.Finished r ->
-        absorb r.Executor.acks;
-        r
-      | Executor.Crashed _ -> assert false)
-    | at :: rest -> (
-      match Executor.run ~crash_at_instr:at session with
-      | Executor.Finished r ->
-        (* the service drained before the crash point fired *)
-        absorb r.Executor.acks;
-        r
-      | Executor.Crashed { image; at_cycle; _ } ->
-        absorb image.Arch.Persist.acked;
-        images := image :: !images;
-        incr recoveries;
-        let per_core_blocks =
-          Runtime.Recovery.apply_recovery_blocks_per_core
-            ~jobs:cfg.recovery_jobs t.compiled image
-        in
-        let blocks = Array.fold_left ( + ) 0 per_core_blocks in
-        blocks_total := !blocks_total + blocks;
-        (* the durable journal tail each core re-serves on restart:
-           everything past its checkpoint cursor *)
-        let tails =
-          Array.mapi
-            (fun c acked ->
-              List.length acked - image.Arch.Persist.acked_base.(c))
-            image.Arch.Persist.acked
-        in
-        replayed_total :=
-          !replayed_total
-          + Array.fold_left ( + ) 0 image.Arch.Persist.replayed;
-        tail_total := !tail_total + Array.fold_left ( + ) 0 tails;
-        let penalty =
-          recovery_penalty cfg.config ~blocks:per_core_blocks ~tails
-            ~replayed:image.Arch.Persist.replayed
-        in
-        rec_cycles := !rec_cycles + penalty;
-        let down_from = !base + at_cycle in
-        base := !base + at_cycle + penalty;
-        downtime := (down_from, !base, blocks) :: !downtime;
-        (* Resumed segments restart their thread clocks at zero; shift
-           the tracer's origin to the absolute restart cycle (or past
-           the last recorded span, whichever is later) so the stitched
-           trace stays monotone. Trace-only: ack cycles use [base]. *)
-        Tracer.set_origin obs.Obs.tracer
-          (max !base (Tracer.max_ts obs.Obs.tracer));
-        let session =
-          Executor.resume ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-            ~recovery_jobs:cfg.recovery_jobs ?trace ~obs
-            ~check_threshold:threshold ~compiled:t.compiled ~image ~threads ()
-        in
-        go session rest)
+  let on_recover (crash : Executor.crash) per_core_blocks =
+    let image = crash.Executor.image in
+    absorb image.Arch.Persist.acked;
+    images := image :: !images;
+    (* the durable journal tail each core re-serves on restart:
+       everything past its checkpoint cursor *)
+    let tails =
+      Array.mapi
+        (fun c acked -> List.length acked - image.Arch.Persist.acked_base.(c))
+        image.Arch.Persist.acked
+    in
+    replayed_total :=
+      !replayed_total + Array.fold_left ( + ) 0 image.Arch.Persist.replayed;
+    tail_total := !tail_total + Array.fold_left ( + ) 0 tails;
+    let penalty =
+      recovery_penalty cfg.config ~blocks:per_core_blocks ~tails
+        ~replayed:image.Arch.Persist.replayed
+    in
+    rec_cycles := !rec_cycles + penalty;
+    let down_from = !base + crash.Executor.at_cycle in
+    base := !base + crash.Executor.at_cycle + penalty;
+    downtime :=
+      (down_from, !base, Array.fold_left ( + ) 0 per_core_blocks) :: !downtime;
+    (* Resumed segments restart their thread clocks at zero; shift the
+       tracer's origin to the absolute restart cycle (or past the last
+       recorded span, whichever is later) so the stitched trace stays
+       monotone. Trace-only: ack cycles use [base]. *)
+    Tracer.set_origin obs.Obs.tracer (max !base (Tracer.max_ts obs.Obs.tracer))
   in
-  let session =
-    Executor.start ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-      ~recovery_jobs:cfg.recovery_jobs ?trace ~obs ~check_threshold:threshold
-      ~program:t.compiled.Comp.Compiled.program ~threads ()
+  let result, recoveries, blocks_total =
+    Runtime.Verify.run_with_crashes ~config:cfg.config ~mode:cfg.mode
+      ~journal_io:true ~recovery_jobs:cfg.recovery_jobs ~obs ?trace
+      ~threads:(Kvstore.thread_specs t.kv) ~on_recover ~crash_at t.compiled
   in
-  let result = go session crash_at in
+  absorb result.Executor.acks;
   let outcome =
     {
       acks = Array.map List.rev acks;
       final = result.Executor.outputs;
       images = List.rev !images;
       cycles = !base + result.Executor.cycles;
-      recoveries = !recoveries;
-      recovery_blocks = !blocks_total;
+      recoveries;
+      recovery_blocks = blocks_total;
       recovery_replayed = !replayed_total;
       recovery_tail = !tail_total;
       recovery_cycles = !rec_cycles;

@@ -216,7 +216,8 @@ let test_crash_recovery_identity () =
             (Executor.engine_name engine)
         in
         let c = crashed ctx (run_engine ~crash_at_instr:at ~engine compiled threads) in
-        ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
+        ignore
+          (Recovery.apply_recovery_blocks_per_core compiled c.Executor.image);
         let session =
           Executor.resume ~engine ~compiled ~image:c.Executor.image ~threads ()
         in
@@ -366,21 +367,15 @@ let test_txn_service_differential () =
   Alcotest.(check bool) "crashed streams = crash-free streams" true
     (ca.Svc.Server.final = a.Svc.Server.final)
 
-(* Engine selection plumbing. *)
-let test_engine_of_string () =
-  Alcotest.(check bool)
-    "interp" true
-    (Executor.engine_of_string "interp" = Some Executor.Interp);
-  Alcotest.(check bool)
-    "compiled" true
-    (Executor.engine_of_string "compiled" = Some Executor.Compiled);
-  Alcotest.(check bool)
-    "junk" true
-    (Executor.engine_of_string "threaded" = None);
-  Alcotest.(check string) "name round-trip" "interp"
+(* Engine selection plumbing: the names reports print, and the default
+   every session without [?engine] runs on. *)
+let test_engine_names () =
+  Alcotest.(check string) "interp name" "interp"
     (Executor.engine_name Executor.Interp);
-  Alcotest.(check string) "name round-trip" "compiled"
-    (Executor.engine_name Executor.Compiled)
+  Alcotest.(check string) "compiled name" "compiled"
+    (Executor.engine_name Executor.Compiled);
+  Alcotest.(check bool) "default is compiled" true
+    (!Executor.default_engine = Executor.Compiled)
 
 (* Property: random programs × every mode × crash schedules — the
    engines agree on everything, always. *)
@@ -447,7 +442,9 @@ let prop_engines_agree =
           then
             QCheck.Test.fail_reportf "seed %d crash@%d: images diverge" seed at;
           let resume engine (c : Executor.crash) =
-            ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
+            ignore
+              (Recovery.apply_recovery_blocks_per_core compiled
+                 c.Executor.image);
             let s =
               Executor.resume ~engine ~compiled ~image:c.Executor.image
                 ~threads ()
@@ -480,6 +477,6 @@ let suite =
       test_livelock_structured;
     Alcotest.test_case "txn service: engines identical" `Quick
       test_txn_service_differential;
-    Alcotest.test_case "engine selection plumbing" `Quick test_engine_of_string;
+    Alcotest.test_case "engine selection plumbing" `Quick test_engine_names;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_engines_agree ]

@@ -34,25 +34,8 @@ let chatty_program () =
   Builder.finish b ~main:"main"
 
 let run_journal ?(crash_at = []) compiled =
-  let threads = [ Executor.main_thread compiled.Compiled.program ] in
-  let rec go session = function
-    | [] -> (
-      match Executor.run session with
-      | Executor.Finished r -> r
-      | Executor.Crashed _ -> assert false)
-    | at :: rest -> (
-      match Executor.run ~crash_at_instr:at session with
-      | Executor.Finished r -> r
-      | Executor.Crashed { image; _ } ->
-        ignore (Recovery.apply_recovery_blocks compiled image);
-        go
-          (Executor.resume ~journal_io:true ~compiled ~image ~threads ())
-          rest)
-  in
-  go
-    (Executor.start ~journal_io:true
-       ~program:compiled.Compiled.program ~threads ())
-    crash_at
+  let r, _, _ = Verify.run_with_crashes ~journal_io:true ~crash_at compiled in
+  r
 
 let test_journal_crash_free_matches () =
   let program = chatty_program () in

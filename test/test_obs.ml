@@ -335,20 +335,9 @@ let test_invariant_survives_crash_recovery () =
      crash recovery (redo replay + slot restore). *)
   let program, _ = sum_program ~n:40 () in
   let compiled = compile program in
-  let session =
-    Executor.start ~program:compiled.Compiled.program
-      ~threads:[ Executor.main_thread compiled.Compiled.program ] ()
-  in
-  match Executor.run ~crash_at_instr:60 session with
-  | Executor.Finished _ -> Alcotest.fail "expected crash"
-  | Executor.Crashed { image; _ } ->
-    ignore (Recovery.apply_recovery_blocks compiled image);
-    let threads = [ Executor.main_thread compiled.Compiled.program ] in
-    let session2 = Executor.resume ~compiled ~image ~threads () in
-    (match Executor.run session2 with
-     | Executor.Finished r ->
-       check_stats_invariant "post-recovery" r.Executor.persist_stats
-     | Executor.Crashed _ -> Alcotest.fail "unexpected second crash")
+  let r, recoveries, _ = Verify.run_with_crashes ~crash_at:[ 60 ] compiled in
+  Alcotest.(check int) "crashed once" 1 recoveries;
+  check_stats_invariant "post-recovery" r.Executor.persist_stats
 
 let suite =
   [

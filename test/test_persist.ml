@@ -12,10 +12,17 @@ let mk ?(mode = Persist.Capri) ?(cfg = config) () = Persist.create cfg ~mode
 
 let line_data v = Array.make 8 v
 
+(* One word store as the executor hands it to the engine: word 0 of
+   [line] goes from [from] to [to_], and [memory] is the architectural
+   memory after the store. Returns the stall cycles. *)
+let store_word ?(core = 0) t ~cycle ~line ~from ~to_ ~version =
+  let memory = Memory.create () in
+  Memory.write memory (Memory.addr_of_line line) to_;
+  Persist.on_store_word t ~core ~cycle ~line ~mask:1 ~word:0 ~value:to_
+    ~old:from ~version ~memory
+
 let store t ~cycle ~line ~from ~to_ ~version =
-  ignore
-    (Persist.on_store t ~core:0 ~cycle ~line ~mask:0xFF
-       ~undo:(line_data from) ~redo:(line_data to_) ~version)
+  ignore (store_word t ~cycle ~line ~from ~to_ ~version)
 
 let test_merge_within_region () =
   let t = mk () in
@@ -161,8 +168,7 @@ let test_front_proxy_backpressure () =
   for i = 0 to 7 do
     total_stall :=
       !total_stall
-      + Persist.on_store t ~core:0 ~cycle:i ~line:(100 + i) ~mask:0xFF
-          ~undo:(line_data 0) ~redo:(line_data i) ~version:1
+      + store_word t ~cycle:i ~line:(100 + i) ~from:0 ~to_:i ~version:1
   done;
   Alcotest.(check bool) "store stalled" true (!total_stall > 0)
 
@@ -177,18 +183,14 @@ let test_region_overflow_detected () =
     (Failure "Persist: stalled with no pending events")
     (fun () ->
       for i = 0 to 7 do
-        ignore
-          (Persist.on_store t ~core:0 ~cycle:i ~line:(100 + i) ~mask:0xFF
-             ~undo:(line_data 0) ~redo:(line_data i) ~version:1)
+        store t ~cycle:i ~line:(100 + i) ~from:0 ~to_:i ~version:1
       done)
 
 let test_multi_core_isolation () =
   let cfg = { config with Config.cores = 2 } in
   let t = mk ~cfg () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  ignore
-    (Persist.on_store t ~core:1 ~cycle:0 ~line:9 ~mask:0xFF
-       ~undo:(line_data 0) ~redo:(line_data 30) ~version:1);
+  ignore (store_word ~core:1 t ~cycle:0 ~line:9 ~from:0 ~to_:30 ~version:1);
   ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
   (* core 1 never commits *)
   let image = Persist.crash_recover t ~cycle:5 in

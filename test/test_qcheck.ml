@@ -155,26 +155,11 @@ let prop_journal_exactly_once =
     (fun seed ->
       let program = Capri_workloads.Gen.program_of_seed seed in
       let compiled = Pipeline.compile (crash_options_of_seed seed) program in
-      let threads = [ Executor.main_thread program ] in
       let run_j crash_at =
-        let rec go session = function
-          | [] -> (
-            match Executor.run session with
-            | Executor.Finished r -> r
-            | Executor.Crashed _ -> assert false)
-          | at :: rest -> (
-            match Executor.run ~crash_at_instr:at session with
-            | Executor.Finished r -> r
-            | Executor.Crashed { image; _ } ->
-              ignore (Recovery.apply_recovery_blocks compiled image);
-              go
-                (Executor.resume ~journal_io:true ~compiled ~image ~threads ())
-                rest)
+        let r, _, _ =
+          Verify.run_with_crashes ~journal_io:true ~crash_at compiled
         in
-        go
-          (Executor.start ~journal_io:true
-             ~program:compiled.Compiled.program ~threads ())
-          crash_at
+        r
       in
       let reference = run_j [] in
       let total = reference.Executor.instrs in

@@ -93,32 +93,17 @@ let test_multithreaded_recovery () =
       | Error e -> Alcotest.failf "crash at %d: %s" at e)
     [ 1; n / 7; n / 3; n / 2; (2 * n) / 3; n - 2 ]
 
-let test_resume_session_register_state () =
+let test_resume_restores_registers () =
   (* After recovery, a register live at the resume boundary holds the
-     value the slot array recorded (not the pre-crash garbage). *)
+     value the slot array recorded (not the pre-crash garbage): the
+     resumed run completes with the correct final value. *)
   let program, cell = sum_program ~n:40 () in
   let compiled = compile program in
-  let session =
-    Executor.start ~mode:Persist.Capri
-      ~program:compiled.Compiled.program
-      ~threads:[ Executor.main_thread compiled.Compiled.program ]
-      ()
+  let r, recoveries, _ =
+    Verify.run_with_crashes ~mode:Persist.Capri ~crash_at:[ 60 ] compiled
   in
-  (match Executor.run ~crash_at_instr:60 session with
-   | Executor.Finished _ -> Alcotest.fail "expected a crash"
-   | Executor.Crashed { image; _ } ->
-     ignore (Recovery.apply_recovery_blocks compiled image);
-     (* The resumed run must complete with the correct final value. *)
-     let session' =
-       Executor.resume ~mode:Persist.Capri ~compiled ~image
-         ~threads:[ Executor.main_thread compiled.Compiled.program ]
-         ()
-     in
-     (match Executor.run session' with
-      | Executor.Finished r ->
-        Alcotest.(check int) "final cell" 780
-          (Memory.read r.Executor.memory cell)
-      | Executor.Crashed _ -> Alcotest.fail "unexpected crash"))
+  Alcotest.(check int) "crashed once" 1 recoveries;
+  Alcotest.(check int) "final cell" 780 (Memory.read r.Executor.memory cell)
 
 let test_never_started_core_restarts () =
   (* Crash before a worker reaches its first boundary: it restarts from
@@ -134,41 +119,51 @@ let test_never_started_core_restarts () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The paper's Figure 3 shape: a diamond whose arms redefine r2 from
+   values the pruning pass can recompute, so compiled under [threshold]
+   it carries recovery blocks. Without [store_in_region_1] the region
+   ahead of the pruned boundary holds no store, is elided, and never
+   moves the resume record onto that boundary, so no crash runs the
+   blocks; with it that region commits and late crashes do. *)
+let figure3_compiled ?(store_in_region_1 = false) threshold =
+  let b = Builder.create () in
+  let data = Builder.alloc_init b [| 9; 4; 0; 0 |] in
+  let f = Builder.func b "main" in
+  let left = Builder.block f "left" in
+  let right = Builder.block f "right" in
+  let mid = Builder.block f "mid" in
+  Builder.li f (r 9) data;
+  Builder.load f (r 1) ~base:(r 9) ~off:0 ();
+  Builder.load f (r 3) ~base:(r 9) ~off:1 ();
+  Builder.fence f;
+  Builder.binop f Instr.Lt (r 4) (im 6) (rg 1);
+  if store_in_region_1 then Builder.store f ~base:(r 9) ~off:3 (rg 4);
+  Builder.branch f (rg 4) left right;
+  Builder.switch f left;
+  Builder.mul f (r 2) (rg 3) (rg 3);
+  Builder.jump f mid;
+  Builder.switch f right;
+  Builder.sub f (r 2) (rg 1) (rg 3);
+  Builder.jump f mid;
+  Builder.switch f mid;
+  Builder.fence f;
+  Builder.store f ~base:(r 9) ~off:2 (rg 2);
+  Builder.out f (rg 2);
+  Builder.halt f;
+  let program = Builder.finish b ~main:"main" in
+  let options =
+    Capri_compiler.Options.with_threshold threshold
+      { Capri_compiler.Options.up_to_prune with
+        Capri_compiler.Options.unroll = false }
+  in
+  (program, Pipeline.compile options program)
+
 let test_recovery_block_exhaustive () =
   (* A pruned program crash-swept at every dynamic instruction under a
      couple of thresholds. *)
   List.iter
     (fun threshold ->
-      let b = Builder.create () in
-      let data = Builder.alloc_init b [| 9; 4; 0; 0 |] in
-      let f = Builder.func b "main" in
-      let left = Builder.block f "left" in
-      let right = Builder.block f "right" in
-      let mid = Builder.block f "mid" in
-      Builder.li f (r 9) data;
-      Builder.load f (r 1) ~base:(r 9) ~off:0 ();
-      Builder.load f (r 3) ~base:(r 9) ~off:1 ();
-      Builder.fence f;
-      Builder.binop f Instr.Lt (r 4) (im 6) (rg 1);
-      Builder.branch f (rg 4) left right;
-      Builder.switch f left;
-      Builder.mul f (r 2) (rg 3) (rg 3);
-      Builder.jump f mid;
-      Builder.switch f right;
-      Builder.sub f (r 2) (rg 1) (rg 3);
-      Builder.jump f mid;
-      Builder.switch f mid;
-      Builder.fence f;
-      Builder.store f ~base:(r 9) ~off:2 (rg 2);
-      Builder.out f (rg 2);
-      Builder.halt f;
-      let program = Builder.finish b ~main:"main" in
-      let options =
-        Capri_compiler.Options.with_threshold threshold
-          { Capri_compiler.Options.up_to_prune with
-            Capri_compiler.Options.unroll = false }
-      in
-      let compiled = Pipeline.compile options program in
+      let program, compiled = figure3_compiled threshold in
       Alcotest.(check bool) "pruned" true
         (compiled.Compiled.prune_report.Capri_compiler.Prune.ckpts_pruned > 0);
       exhaustive_sweep
@@ -176,6 +171,33 @@ let test_recovery_block_exhaustive () =
         compiled
         [ Executor.main_thread program ])
     [ 16; 256 ]
+
+let test_on_recover_hook () =
+  (* [on_recover] fires once per fired crash, in schedule order, with
+     per-core block counts that sum to the returned total; a crash point
+     past the end of the run fires nothing. Swept over a pruned Figure 3
+     program whose late crashes really run blocks. *)
+  let _, compiled = figure3_compiled ~store_in_region_1:true 16 in
+  let n = (Verify.reference compiled).Executor.instrs in
+  let blocks_seen = ref 0 in
+  for at = 1 to n - 1 do
+    let log = ref [] in
+    let on_recover (c : Executor.crash) per_core =
+      log := (c.Executor.at_instr, Array.fold_left ( + ) 0 per_core) :: !log
+    in
+    let _, recoveries, blocks =
+      Verify.run_with_crashes ~on_recover ~crash_at:[ at; 1; 10 * n ]
+        compiled
+    in
+    let log = List.rev !log in
+    Alcotest.(check int) "two recoveries" 2 recoveries;
+    Alcotest.(check (list int)) "fired in schedule order" [ at; 1 ]
+      (List.map fst log);
+    Alcotest.(check int) "per-core counts sum to the total" blocks
+      (List.fold_left (fun acc (_, b) -> acc + b) 0 log);
+    blocks_seen := !blocks_seen + blocks
+  done;
+  Alcotest.(check bool) "some recovery ran blocks" true (!blocks_seen > 0)
 
 let test_crash_at_instruction_zero () =
   (* Power failure before a single instruction executes: recovery must
@@ -230,41 +252,27 @@ let test_crash_inside_recovery_replay () =
   (* Crash, run the software recovery blocks, resume — and crash again
      almost immediately, before the replayed region can reach its next
      boundary. The second recovery must rebuild from the same resume
-     record without double-applying anything. Driven manually (not via
-     run_with_crashes) so the recovery-block pass demonstrably runs
-     between the two failures. *)
+     record without double-applying anything. [on_recover] logs each
+     recovery as it completes, so the log shows the recovery-block pass
+     ran between the two failures. *)
   let program, cell = sum_program ~n:30 () in
   let compiled = compile program in
   let reference = Verify.reference compiled in
-  let threads = [ Executor.main_thread compiled.Compiled.program ] in
-  let session = Executor.start ~program:compiled.Compiled.program ~threads () in
-  match Executor.run ~crash_at_instr:(reference.Executor.instrs / 2) session with
-  | Executor.Finished _ -> Alcotest.fail "expected the first crash"
-  | Executor.Crashed { image; outputs_before; _ } -> (
-    ignore (Recovery.apply_recovery_blocks compiled image);
-    let session' = Executor.resume ~compiled ~image ~threads () in
-    match Executor.run ~crash_at_instr:1 session' with
-    | Executor.Finished _ -> Alcotest.fail "expected the second crash"
-    | Executor.Crashed { image = image2; outputs_before = outs2; _ } -> (
-      ignore (Recovery.apply_recovery_blocks compiled image2);
-      let session'' = Executor.resume ~compiled ~image:image2 ~threads () in
-      match Executor.run session'' with
-      | Executor.Crashed _ -> Alcotest.fail "unexpected third crash"
-      | Executor.Finished r ->
-        Alcotest.(check int) "final cell" 435 (Memory.read r.Executor.memory cell);
-        let candidate =
-          {
-            r with
-            Executor.outputs =
-              Array.init
-                (Array.length r.Executor.outputs)
-                (fun i ->
-                  outputs_before.(i) @ outs2.(i) @ r.Executor.outputs.(i));
-          }
-        in
-        (match Verify.check_equivalence ~reference ~candidate with
-         | Ok () -> ()
-         | Error e -> Alcotest.fail e)))
+  let first = reference.Executor.instrs / 2 in
+  let log = ref [] in
+  let on_recover (c : Executor.crash) _ =
+    log := c.Executor.at_instr :: !log
+  in
+  let r, recoveries, _ =
+    Verify.run_with_crashes ~on_recover ~crash_at:[ first; 1 ] compiled
+  in
+  Alcotest.(check int) "two crashes" 2 recoveries;
+  Alcotest.(check (list int)) "recovered after each failure, in order"
+    [ first; 1 ] (List.rev !log);
+  Alcotest.(check int) "final cell" 435 (Memory.read r.Executor.memory cell);
+  match Verify.check_equivalence ~reference ~candidate:r with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 let test_crash_after_core_halts () =
   (* Multi-core: crash while one core has already finished and others
@@ -314,8 +322,10 @@ let suite =
     Alcotest.test_case "triple crash" `Quick test_triple_crash;
     Alcotest.test_case "multithreaded recovery" `Quick
       test_multithreaded_recovery;
+    Alcotest.test_case "on_recover per fired crash" `Quick
+      test_on_recover_hook;
     Alcotest.test_case "resume restores live registers" `Quick
-      test_resume_session_register_state;
+      test_resume_restores_registers;
     Alcotest.test_case "never-started cores restart" `Quick
       test_never_started_core_restarts;
     Alcotest.test_case "recovery blocks, exhaustive" `Quick
