@@ -123,7 +123,6 @@ let table ~jobs ~shards ~ops ~crashes ~txns =
 
 type rolling_row = {
   r_mode : Arch.Persist.mode;
-  r_stats : Svc.Sla.stats;
   report : Svc.Slo.report;
   timeline : string;  (* rendered windowed series *)
   r_violation : string option;
@@ -143,11 +142,11 @@ let rolling_trial ~shards ~ops ~crashes ~period mode =
       { Svc.Server.default_cfg with Svc.Server.shards; client; mode }
   in
   let _, outcome = Svc.Server.trial ~crash_at:(Svc.Server.even crashes) t in
+  let served = Svc.Server.served t outcome in
   {
     r_mode = mode;
-    r_stats = Svc.Server.stats t outcome;
-    report = Svc.Slo.report ~t outcome;
-    timeline = Svc.Slo.render_timeline (Svc.Slo.timeline ~t outcome);
+    report = Svc.Slo.report ~t outcome served;
+    timeline = Svc.Slo.render_timeline (Svc.Slo.timeline ~t outcome served);
     r_violation =
       verdict ("rolling bench " ^ Arch.Persist.mode_name mode) t outcome;
   }

@@ -543,11 +543,13 @@ let serve_cmd =
           (Capri_obs.Tracer.count obs.Capri_obs.Obs.tracer)
           (Persist.mode_name focus)
       | None -> ());
+      let served = Svc.Server.served t outcome in
       if timeline then
         print_string
-          (Svc.Slo.render_timeline (Svc.Slo.timeline ?width:window ~t outcome));
+          (Svc.Slo.render_timeline
+             (Svc.Slo.timeline ?width:window ~t outcome served));
       if want_report then begin
-        let r = Svc.Slo.report ?slo_p99 ?slo_avail ~t outcome in
+        let r = Svc.Slo.report ?slo_p99 ?slo_avail ~t outcome served in
         Format.printf "%a" Svc.Slo.pp_report r;
         let missed =
           (match (r.Svc.Slo.slo_p99, r.Svc.Slo.p99_burn) with

@@ -153,12 +153,6 @@ type session = {
   mutable ckpt_count : int;
   mutable boundary_count : int;
   mutable stale_reads : int;
-  (* region_stats accumulators, mutated in place (one record per run,
-     not one per closed region) *)
-  mutable r_regions : int;
-  mutable r_instrs : int;
-  mutable r_stores : int;
-  mutable r_max_stores : int;
   lcosts : int array;
       (* per memory level: 1 + shadowed hit latency — the load cost before
          any Redo_nowb indirect-read penalty, divisions done once *)
@@ -246,13 +240,16 @@ let entry_boundary_id program fname =
   | Instr.Boundary { id } :: _ -> Some id
   | _ :: _ | [] -> None
 
-let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
-    ?check_threshold ?engine ~program ~threads () =
+(* One fresh session over [memory]: the persist engine and hierarchy,
+   NVM seeded with [memory] as the durable image (bypassing the
+   writeback path, which Redo_nowb discards), and one thread per spec at
+   its function's entry. [start] and [resume] differ only in the memory
+   they pass and in how they place threads and seed the durable per-core
+   records afterwards. *)
+let session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
+    ~check_threshold ~engine ~program ~memory threads =
   let engine = match engine with Some e -> e | None -> !default_engine in
   let config = { config with Config.cores = max 1 (List.length threads) } in
-  let memory = Memory.create () in
-  load_data program memory;
   let persist = Persist.create ~obs config ~mode in
   let hier =
     Hierarchy.create ~obs ~labels:[ ("mode", Persist.mode_name mode) ] config
@@ -260,23 +257,9 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
       ~on_nvm_writeback:(fun ~cycle ~line ~data ~version ->
         Persist.on_writeback persist ~cycle ~line ~data ~version)
   in
-  let code = Code.build program in
-  (* Seed NVM with the initial image: the data segment is durable before
-     execution starts (the loader wrote it). Must bypass the writeback
-     path — Redo_nowb drops dirty writebacks by design. *)
   Memory.iter_lines memory (fun l data ->
       Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
-  let threads =
-    Array.of_list (List.mapi (fun i spec -> make_thread code i spec) threads)
-  in
-  (* The loader also durably records each thread's initial context, so a
-     crash inside the very first region restores the right arguments. *)
-  Array.iteri
-    (fun i th ->
-      Persist.init_slots persist ~core:i ~slots:th.regs
-        ~resume_boundary:(entry_boundary_id program th.cur.Code.fname)
-        ~sp:th.regs.(sp_idx))
-    threads;
+  let code = Code.build program in
   let lcosts, scosts = mk_cost_tables config in
   {
     config;
@@ -292,7 +275,7 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
     engine;
     cblocks = [||];
     fast_len = [||];
-    threads;
+    threads = Array.of_list (List.mapi (make_thread code) threads);
     check_threshold;
     instr_count = 0;
     payload_count = 0;
@@ -300,10 +283,6 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
     ckpt_count = 0;
     boundary_count = 0;
     stale_reads = 0;
-    r_regions = 0;
-    r_instrs = 0;
-    r_stores = 0;
-    r_max_stores = 0;
     lcosts;
     scosts;
     redo_extra = (mode = Persist.Redo_nowb);
@@ -312,108 +291,75 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
     obs;
   }
 
+let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
+    ?check_threshold ?engine ~program ~threads () =
+  (* The data segment is durable before execution starts (the loader
+     wrote it). *)
+  let memory = Memory.create () in
+  load_data program memory;
+  let s =
+    session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
+      ~check_threshold ~engine ~program ~memory threads
+  in
+  (* The loader also durably records each thread's initial context, so a
+     crash inside the very first region restores the right arguments. *)
+  Array.iteri
+    (fun i th ->
+      Persist.init_slots s.persist ~core:i ~slots:th.regs
+        ~resume_boundary:(entry_boundary_id program th.cur.Code.fname)
+        ~sp:th.regs.(sp_idx))
+    s.threads;
+  s
+
 let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
     ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
     ?check_threshold ?engine ~(compiled : Capri_compiler.Compiled.t)
     ~(image : Persist.image) ~threads () =
-  let engine = match engine with Some e -> e | None -> !default_engine in
   let program = compiled.Capri_compiler.Compiled.program in
-  let config = { config with Config.cores = max 1 (List.length threads) } in
-  let memory = Memory.copy image.Persist.nvm in
-  let persist = Persist.create ~obs config ~mode in
-  let hier =
-    Hierarchy.create ~obs ~labels:[ ("mode", Persist.mode_name mode) ] config
-      memory
-      ~on_nvm_writeback:(fun ~cycle ~line ~data ~version ->
-        Persist.on_writeback persist ~cycle ~line ~data ~version)
+  (* NVM of the new engine = the recovered image. *)
+  let s =
+    session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
+      ~check_threshold ~engine ~program
+      ~memory:(Memory.copy image.Persist.nvm) threads
   in
-  (* NVM of the new engine = the recovered image (again bypassing the
-     writeback path, which Redo_nowb discards). *)
-  Memory.iter_lines memory (fun l data ->
-      Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
-  let code = Code.build program in
   let regions = compiled.Capri_compiler.Compiled.regions in
-  let specs = Array.of_list threads in
-  let threads =
-    Array.of_list
-      (List.mapi
-         (fun i (spec : thread_spec) ->
-           let th = make_thread code i spec in
-           (match image.Persist.resume.(i) with
-            | Persist.Done ->
-              (* The halt path staged the whole register file with the
-                 final region, so the slot array holds this finished
-                 thread's exact final context. *)
-              Array.blit image.Persist.slots.(i) 0 th.regs 0 Reg.count;
-              th.halted <- true
-            | Persist.Never_started -> ()
-            | Persist.Resume { boundary; sp } ->
-              let region = Capri_compiler.Region_map.find regions boundary in
-              let head = region.Capri_compiler.Region_map.head in
-              let fname = region.Capri_compiler.Region_map.func in
-              Array.blit image.Persist.slots.(i) 0 th.regs 0 Reg.count;
-              th.regs.(sp_idx) <- sp;
-              let idx = Code.index_of code ~func:fname head in
-              th.cur <- Code.block code idx;
-              th.cur_idx <- idx;
-              th.index <- 0);
-           th)
-         (Array.to_list specs))
-  in
-  (* Seed the fresh engine's durable per-core records from the image (or
-     from scratch for threads that never reached their first boundary). *)
+  (* Place each thread and seed the fresh engine's durable per-core
+     records from the image. *)
   Array.iteri
     (fun i th ->
+      let slots = image.Persist.slots.(i) in
       (match image.Persist.resume.(i) with
        | Persist.Never_started ->
-         Persist.init_slots persist ~core:i ~slots:th.regs
-           ~resume_boundary:(entry_boundary_id program specs.(i).func)
+         (* never reached its first boundary: restart from scratch *)
+         Persist.init_slots s.persist ~core:i ~slots:th.regs
+           ~resume_boundary:(entry_boundary_id program th.cur.Code.fname)
            ~sp:th.regs.(sp_idx)
-       | Persist.Done ->
-         Persist.seed_core persist ~core:i ~slots:image.Persist.slots.(i)
-           ~resume:Persist.Done
-       | Persist.Resume { boundary; sp } ->
-         Persist.seed_core persist ~core:i ~slots:image.Persist.slots.(i)
-           ~resume:(Persist.Resume { boundary; sp }));
+       | Persist.Done as resume ->
+         (* The halt path staged the whole register file with the final
+            region, so the slot array holds this finished thread's exact
+            final context. *)
+         Array.blit slots 0 th.regs 0 Reg.count;
+         th.halted <- true;
+         Persist.seed_core s.persist ~core:i ~slots ~resume
+       | Persist.Resume { boundary; sp } as resume ->
+         let region = Capri_compiler.Region_map.find regions boundary in
+         Array.blit slots 0 th.regs 0 Reg.count;
+         th.regs.(sp_idx) <- sp;
+         let idx =
+           Code.index_of s.code ~func:region.Capri_compiler.Region_map.func
+             region.Capri_compiler.Region_map.head
+         in
+         th.cur <- Code.block s.code idx;
+         th.cur_idx <- idx;
+         th.index <- 0;
+         Persist.seed_core s.persist ~core:i ~slots ~resume);
       if journal_io then
-        Persist.seed_journal persist ~core:i
+        Persist.seed_journal s.persist ~core:i
           ~base:image.Persist.acked_base.(i)
           ~outs:image.Persist.journal.(i) ())
-    threads;
-  let lcosts, scosts = mk_cost_tables config in
-  {
-    config;
-    journal_io;
-    recovery_jobs;
-    trace;
-    program;
-    code;
-    memory;
-    hier;
-    persist;
-    fence_on = Persist.fence_active persist;
-    engine;
-    cblocks = [||];
-    fast_len = [||];
-    threads;
-    check_threshold;
-    instr_count = 0;
-    payload_count = 0;
-    store_count = 0;
-    ckpt_count = 0;
-    boundary_count = 0;
-    stale_reads = 0;
-    r_regions = 0;
-    r_instrs = 0;
-    r_stores = 0;
-    r_max_stores = 0;
-    lcosts;
-    scosts;
-    redo_extra = (mode = Persist.Redo_nowb);
-    lval = 0;
-    profile = Hashtbl.create 64;
-    obs;
-  }
+    s.threads;
+  s
 
 (* ------------------------------------------------------------------ *)
 (* Stepping.                                                           *)
@@ -449,11 +395,6 @@ let close_dyn_region s (th : thread) ~next_id =
             "region store threshold violated: %d > %d (core %d)"
             th.cur_region_stores limit th.core)
      | Some _ | None -> ());
-    s.r_regions <- s.r_regions + 1;
-    s.r_instrs <- s.r_instrs + th.cur_region_instrs;
-    s.r_stores <- s.r_stores + th.cur_region_stores;
-    if th.cur_region_stores > s.r_max_stores then
-      s.r_max_stores <- th.cur_region_stores;
     let bp =
       if th.prof_id = th.cur_region_id then th.prof_bp
       else begin
@@ -1028,12 +969,17 @@ let finish s =
       ckpt_stores = s.ckpt_count;
       boundaries = s.boundary_count;
       region_stats =
-        {
-          regions_executed = s.r_regions;
-          total_instrs = s.r_instrs;
-          total_stores = s.r_stores;
-          max_stores_in_region = s.r_max_stores;
-        };
+        Hashtbl.fold
+          (fun _ bp r ->
+            {
+              regions_executed = r.regions_executed + bp.instances;
+              total_instrs = r.total_instrs + bp.p_instrs;
+              total_stores = r.total_stores + bp.p_stores;
+              max_stores_in_region = max r.max_stores_in_region bp.p_max_stores;
+            })
+          s.profile
+          { regions_executed = 0; total_instrs = 0; total_stores = 0;
+            max_stores_in_region = 0 };
       profile = s.profile;
       outputs;
       acks;

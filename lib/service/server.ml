@@ -310,18 +310,71 @@ type outcome = {
   result : Executor.result;
 }
 
+let views t outcome = Sla.normalize ~kv:t.kv ~word:fst outcome.acks
+
+type served = {
+  stream : int;
+  index : int;
+  resp : int;
+  start : int;
+  ack : int;
+  latency : int;
+  meta : Sla.resp_meta;
+  tenant : int;
+}
+
+(* The served-request ledger, with the replay it was classified by (so
+   callers that need the 2PC decisions replay once). A run that passed
+   [check] acked a prefix of exactly the replayed streams, so index i of
+   a stream's acks is index i of its replayed metadata; acks beyond the
+   replay (a violating run) classify as "unknown". *)
+let ledger t outcome =
+  let p = Sla.replay t.kv in
+  let meta = Sla.response_meta p in
+  let meta_of stream i =
+    if stream < Array.length meta && i < Array.length meta.(stream) then
+      meta.(stream).(i)
+    else { Sla.kind = "unknown"; tid = -1; key = -1 }
+  in
+  let tenant_of =
+    match t.workload with
+    | None -> fun _ -> 0
+    | Some tw ->
+      Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
+        ~txn_tenant:tw.Client.txn_tenant
+  in
+  let loop = t.cfg.client.Client.loop in
+  let per_stream stream acks =
+    List.mapi
+      (fun index ((resp, _), (start, ack, latency)) ->
+        let meta = meta_of stream index in
+        { stream; index; resp; start; ack; latency; meta;
+          tenant = tenant_of meta })
+      (List.combine acks (Sla.request_intervals ~loop acks))
+  in
+  let logical, _ = views t outcome in
+  (p, List.concat (Array.to_list (Array.mapi per_stream logical)))
+
+let served t outcome = snd (ledger t outcome)
+
+let tally decisions =
+  Array.fold_left
+    (fun (c, a) d -> if d then (c + 1, a) else (c, a + 1))
+    (0, 0) decisions
+
 let instrument obs t outcome =
   if Obs.enabled obs then begin
     let m = obs.Obs.metrics in
     let shards = t.kv.Kvstore.shards in
     let workers = Kvstore.workers t.kv in
+    let replayed, served = ledger t outcome in
     Metrics.Counter.add
       (Metrics.counter m "service_rejected")
       t.rejected;
     Metrics.Counter.add (Metrics.counter m "service_recoveries")
       outcome.recoveries;
     if Array.length t.kv.Kvstore.txns > 0 then begin
-      let commits, aborts = Sla.txn_outcomes t.kv in
+      let commits, aborts = tally (Sla.decisions replayed) in
       (* prepares = votes cast = participants summed over transactions *)
       let prepares =
         Array.fold_left
@@ -336,7 +389,6 @@ let instrument obs t outcome =
       Metrics.Counter.add (Metrics.counter m "service_txn_aborted") aborts
     end;
     let tr = obs.Obs.tracer in
-    let loop = t.cfg.client.Client.loop in
     (* Scheduler accounting: total steals from the per-core NVM
        counters, migrations from the slice headers in the acked
        streams — one trace instant on the thief's core track per
@@ -410,56 +462,36 @@ let instrument obs t outcome =
                 ])
           core_acks)
       outcome.acks;
-    (* Logical view: per-shard streams (identical to the physical ones
-       for a pinned store, reassembled from the slice headers for a
-       scheduled one), where replay metadata lines up index-for-index.
-       Latency histograms and request-lifecycle spans live here so a
-       shard's numbers mean the same thing at any core count. *)
-    let logical, _demux_errs = Sla.normalize ~kv:t.kv ~word:fst outcome.acks in
-    (* Protocol replay gives each expected response an op kind and
-       owning transaction; a run that passed [check] acked a prefix of
-       exactly that stream, so index i of a stream's acks classifies by
-       index i of its replayed metadata. *)
-    let meta = Sla.response_meta (Sla.replay t.kv) in
-    let meta_of stream i =
-      if stream < Array.length meta && i < Array.length meta.(stream) then
-        meta.(stream).(i)
-      else { Sla.kind = "unknown"; tid = -1; key = -1 }
-    in
-    let tenant_label md =
+    (* Logical view: the ledger, whose per-shard streams are identical
+       to the physical ones for a pinned store and reassembled from the
+       slice headers for a scheduled one. Latency histograms and
+       request-lifecycle spans live here so a shard's numbers mean the
+       same thing at any core count. *)
+    let tenant_label r =
       match t.workload with
       | None -> []
-      | Some tw ->
-        [
-          ( "tenant",
-            string_of_int
-              (Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
-                 ~txn_tenant:tw.Client.txn_tenant md) );
-        ]
+      | Some _ -> [ ("tenant", string_of_int r.tenant) ]
     in
-    Array.iteri
-      (fun stream stream_acks ->
-        let intervals = Sla.request_intervals ~loop stream_acks in
+    let prev_ack = ref 0 in
+    List.iter
+      (fun r ->
+        let md = r.meta in
         (* Latency histograms split by op kind (and tenant, when the
            store is multi-tenant): txn tail latency must not hide
            inside (or inflate) the point-op distribution, and one
            tenant's tail must not hide inside another's. *)
-        List.iteri
-          (fun i (_, _, lat) ->
-            let md = meta_of stream i in
-            let h =
-              Metrics.log2_histogram m "service_latency_cycles"
-                ~labels:(("op", md.Sla.kind) :: tenant_label md)
-                ~buckets:24
-            in
-            Metrics.Histogram.observe h lat;
-            match tenant_label md with
-            | [] -> ()
-            | labels ->
-              Metrics.Counter.add
-                (Metrics.counter ~labels m "service_tenant_served")
-                1)
-          intervals;
+        let h =
+          Metrics.log2_histogram m "service_latency_cycles"
+            ~labels:(("op", md.Sla.kind) :: tenant_label r)
+            ~buckets:24
+        in
+        Metrics.Histogram.observe h r.latency;
+        (match tenant_label r with
+        | [] -> ()
+        | labels ->
+          Metrics.Counter.add
+            (Metrics.counter ~labels m "service_tenant_served")
+            1);
         (* Request-lifecycle spans, one per served request on the
            shard's [Request] track: admission -> batch enqueue -> shard
            execution -> proxy commit -> ack. Span begin is clamped into
@@ -468,45 +500,40 @@ let instrument obs t outcome =
            coordinator's spans are the 2PC outcome windows, linked to
            the shard-side item spans by the tid arg. *)
         if Tracer.enabled tr then begin
-          let prev_ack = ref 0 in
-          List.iteri
-            (fun i ((start, ack, _), (resp, _)) ->
-              let md = meta_of stream i in
-              let b_ts = min ack (max start !prev_ack) in
-              let tid_args =
-                if md.Sla.tid >= 0 then
-                  [ ("tid", string_of_int md.Sla.tid) ]
-                else []
-              in
-              let tid_args = tid_args @ tenant_label md in
-              let track = Tracer.Request stream in
-              Tracer.begin_span tr ~track ~name:md.Sla.kind ~ts:b_ts
-                ~args:
-                  (( "request", string_of_int i )
-                   :: ("arrival", string_of_int start)
-                   :: tid_args);
-              Tracer.instant tr ~track ~name:"admitted" ~ts:b_ts ~args:tid_args;
-              Tracer.instant tr ~track ~name:"enqueued" ~ts:b_ts
-                ~args:
-                  (("batch", string_of_int (i / t.cfg.batch)) :: tid_args);
-              if stream >= shards then begin
-                (* coordinator: the span brackets prepare -> decision *)
-                Tracer.instant tr ~track ~name:"prepare" ~ts:b_ts ~args:tid_args;
-                Tracer.instant tr ~track ~name:"decision" ~ts:ack
-                  ~args:
-                    (( "committed",
-                       match Wire.decode_response resp with
-                       | Wire.Committed, _ -> "true"
-                       | _ -> "false" )
-                     :: tid_args)
-              end;
-              Tracer.instant tr ~track ~name:"proxy_commit" ~ts:ack
-                ~args:tid_args;
-              Tracer.end_span tr ~track ~ts:ack;
-              prev_ack := ack)
-            (List.combine intervals stream_acks)
+          if r.index = 0 then prev_ack := 0;
+          let ack = r.ack in
+          let b_ts = min ack (max r.start !prev_ack) in
+          let tid_args =
+            if md.Sla.tid >= 0 then [ ("tid", string_of_int md.Sla.tid) ]
+            else []
+          in
+          let tid_args = tid_args @ tenant_label r in
+          let track = Tracer.Request r.stream in
+          Tracer.begin_span tr ~track ~name:md.Sla.kind ~ts:b_ts
+            ~args:
+              (("request", string_of_int r.index)
+               :: ("arrival", string_of_int r.start)
+               :: tid_args);
+          Tracer.instant tr ~track ~name:"admitted" ~ts:b_ts ~args:tid_args;
+          Tracer.instant tr ~track ~name:"enqueued" ~ts:b_ts
+            ~args:
+              (("batch", string_of_int (r.index / t.cfg.batch)) :: tid_args);
+          if r.stream >= shards then begin
+            (* coordinator: the span brackets prepare -> decision *)
+            Tracer.instant tr ~track ~name:"prepare" ~ts:b_ts ~args:tid_args;
+            Tracer.instant tr ~track ~name:"decision" ~ts:ack
+              ~args:
+                (( "committed",
+                   match Wire.decode_response r.resp with
+                   | Wire.Committed, _ -> "true"
+                   | _ -> "false" )
+                 :: tid_args)
+          end;
+          Tracer.instant tr ~track ~name:"proxy_commit" ~ts:ack ~args:tid_args;
+          Tracer.end_span tr ~track ~ts:ack;
+          prev_ack := ack
         end)
-      logical
+      served
   end
 
 let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
@@ -605,8 +632,6 @@ let trial ?obs ?trace ?crash_at t =
 let check t outcome =
   Sla.check ~kv:t.kv ~images:outcome.images ~final:outcome.final
 
-let views t outcome = Sla.normalize ~kv:t.kv ~word:fst outcome.acks
-
 let steals t outcome =
   Kvstore.steal_total t.kv outcome.result.Executor.memory
 
@@ -620,13 +645,15 @@ let migrations t outcome =
 let stats t outcome =
   let txns =
     if Array.length t.kv.Kvstore.txns = 0 then (0, 0)
-    else Sla.txn_outcomes t.kv
+    else tally (Sla.decisions (Sla.replay t.kv))
   in
   (* per-shard logical streams: slice headers are framing, not served
      requests, so a scheduled store's throughput and latency count the
      same population as the pinned store's *)
   let acks, _ = views t outcome in
-  Sla.stats ~txns ~loop:t.cfg.client.Client.loop ~acks
+  let loop = t.cfg.client.Client.loop in
+  let latencies = Array.map (Sla.request_latencies ~loop) acks in
+  Sla.stats ~txns ~latencies:(List.concat (Array.to_list latencies))
     ~cycles:outcome.cycles ~rejected:t.rejected ~recoveries:outcome.recoveries
     ~recovery_cycles:outcome.recovery_cycles ()
 
@@ -634,30 +661,13 @@ let tenant_stats t outcome =
   match t.workload with
   | None -> [||]
   | Some tw ->
-    let logical, _ = views t outcome in
-    let meta = Sla.response_meta (Sla.replay t.kv) in
-    let loop = t.cfg.client.Client.loop in
-    let served = Array.make tw.Client.tenants 0 in
-    let lats = Array.make tw.Client.tenants [] in
-    Array.iteri
-      (fun stream stream_acks ->
-        let intervals = Sla.request_intervals ~loop stream_acks in
-        List.iteri
-          (fun i (_, _, lat) ->
-            let md =
-              if stream < Array.length meta && i < Array.length meta.(stream)
-              then meta.(stream).(i)
-              else { Sla.kind = "unknown"; tid = -1; key = -1 }
-            in
-            let tn =
-              Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
-                ~txn_tenant:tw.Client.txn_tenant md
-            in
-            served.(tn) <- served.(tn) + 1;
-            lats.(tn) <- float_of_int lat :: lats.(tn))
-          intervals)
-      logical;
-    Array.init tw.Client.tenants (fun tn ->
-        ( served.(tn),
-          if lats.(tn) = [] then 0.0
-          else Capri_util.Stat.percentile 99.0 lats.(tn) ))
+    let served = served t outcome in
+    Array.init tw.Client.tenants (fun tenant ->
+        let lats =
+          List.filter_map
+            (fun r ->
+              if r.tenant = tenant then Some (float_of_int r.latency) else None)
+            served
+        in
+        ( List.length lats,
+          if lats = [] then 0.0 else Capri_util.Stat.percentile 99.0 lats ))

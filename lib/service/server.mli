@@ -192,11 +192,31 @@ val migrations : t -> outcome -> Sched.migration list
     headers: one entry per consecutive slice pair of a shard that ran
     on different cores. Empty for pinned stores. *)
 
+type served = {
+  stream : int;  (** logical stream: shard, coordinator last *)
+  index : int;  (** position in the stream *)
+  resp : int;
+  start : int;
+  ack : int;
+  latency : int;  (** as {!Sla.request_intervals} *)
+  meta : Sla.resp_meta;
+      (** the replay's at [(stream, index)]; kind ["unknown"] past the
+          replayed stream (only in a run that fails {!check}) *)
+  tenant : int;  (** {!Sla.tenant_of} [meta]; 0 for single-tenant plans *)
+}
+
+val served : t -> outcome -> served list
+(** The served-request ledger: one record per acked response of
+    {!views}, stream-major, in request order. Replays the protocol once.
+    Tenant stats, the {!Slo} report and timeline, and the [obs] latency
+    histograms and request spans all fold over it. *)
+
 val stats : t -> outcome -> Sla.stats
 (** Computed over {!views}, so a scheduled store's throughput and
     latency count the same served-response population as a pinned
-    store's. *)
+    store's. Replays the protocol only for stores with transactions, to
+    count commits and aborts. *)
 
 val tenant_stats : t -> outcome -> (int * float) array
-(** Per tenant: [(served responses, p99 latency)], attributed via
-    {!Sla.tenant_of} over {!views}. Empty for single-tenant plans. *)
+(** Per tenant: [(served responses, p99 latency)] over {!served}. Empty
+    for single-tenant plans. *)

@@ -254,12 +254,6 @@ let tenant_of ~tenants ~space ~txn_tenant meta =
     Wire.tenant_of_key ~space meta.key
   else 0
 
-let txn_outcomes kv =
-  let p = replay kv in
-  Array.fold_left
-    (fun (c, a) d -> if d then (c + 1, a) else (c, a + 1))
-    (0, 0) p.decisions
-
 (* Shard state after the first [m] micro-operations. Starts from the
    preload — [state_after _ _ ~shard 0] is the bulk-loaded table. *)
 let state_after kv p ~shard m =
@@ -496,26 +490,12 @@ type stats = {
   txn_aborts : int;
 }
 
-let request_latencies ~loop shard_acks =
-  let prev = ref 0 in
-  List.mapi
-    (fun i (_, cycle) ->
-      let l =
-        match loop with
-        | Client.Closed -> cycle - !prev
-        | Client.Open { period } -> cycle - (i * period)
-      in
-      prev := cycle;
-      max 1 l)
-    shard_acks
-
-(* Same latency accounting as [request_latencies], but keeping the
-   request's service interval: [start] is where its service began
+(* A request's service interval: [start] is where its service began
    (previous ack for a closed loop, nominal arrival for an open one,
    clamped so start <= ack), [ack] the cycle the response was
-   acknowledged. The SLO layer buckets latency into time windows at the
-   ack and classifies requests by overlap with unavailability
-   windows. *)
+   acknowledged, and the latency ack minus the unclamped start, at
+   least 1. The SLO layer buckets latency into time windows at the ack
+   and classifies requests by overlap with unavailability windows. *)
 let request_intervals ~loop shard_acks =
   let prev = ref 0 in
   List.mapi
@@ -530,18 +510,13 @@ let request_intervals ~loop shard_acks =
       (start, cycle, max 1 (cycle - nominal)))
     shard_acks
 
-let latencies ~loop acks =
-  Array.fold_left
-    (fun acc shard_acks ->
-      List.rev_append
-        (List.rev_map float_of_int (request_latencies ~loop shard_acks))
-        acc)
-    [] acks
+let request_latencies ~loop shard_acks =
+  List.map (fun (_, _, l) -> l) (request_intervals ~loop shard_acks)
 
-let stats ?(txns = (0, 0)) ~loop ~acks ~cycles ~rejected ~recoveries
+let stats ?(txns = (0, 0)) ~latencies ~cycles ~rejected ~recoveries
     ~recovery_cycles () =
-  let ops = Array.fold_left (fun a l -> a + List.length l) 0 acks in
-  let lat = latencies ~loop acks in
+  let ops = List.length latencies in
+  let lat = List.map float_of_int latencies in
   let pct p = if lat = [] then 0.0 else Stat.percentile p lat in
   let txn_commits, txn_aborts = txns in
   {

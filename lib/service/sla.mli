@@ -82,9 +82,7 @@ val tenant_of :
     single-tenant stores to tenant 0. *)
 
 val decisions : protocol -> bool array
-
-val txn_outcomes : Kvstore.t -> int * int
-(** [(commits, aborts)] of the store's transactions under the replay. *)
+(** Per transaction, in tid order: did it commit? *)
 
 val durable_slack : int
 (** Micro-ops the durable table may run ahead of the acked count (a
@@ -132,27 +130,26 @@ type stats = {
   txn_aborts : int;
 }
 
-val request_latencies : loop:Client.loop -> (int * int) list -> int list
-(** Per-request latency of one core's [(response, ack cycle)] stream. *)
-
 val request_intervals : loop:Client.loop -> (int * int) list -> (int * int * int) list
-(** Per-request [(start, ack, latency)] of one core's stream: [start]
-    is the previous ack (closed loop) or the nominal arrival (open
-    loop), clamped so [start <= ack]; [latency] agrees with
-    {!request_latencies}. *)
+(** Per-request [(start, ack, latency)] of one core's
+    [(response, ack cycle)] stream. Closed-loop latency is the inter-ack
+    gap; open-loop latency is ack minus nominal arrival, clamped to 1.
+    [start] is the previous ack (closed loop) or the nominal arrival
+    (open loop), clamped so [start <= ack]. *)
+
+val request_latencies : loop:Client.loop -> (int * int) list -> int list
+(** The latency column of {!request_intervals}. *)
 
 val stats :
   ?txns:int * int ->
-  loop:Client.loop ->
-  acks:(int * int) list array ->
+  latencies:int list ->
   cycles:int ->
   rejected:int ->
   recoveries:int ->
   recovery_cycles:int ->
   unit ->
   stats
-(** Closed-loop latency is the inter-ack gap; open-loop latency is ack
-    minus nominal arrival (clamped to 1). [txns] is the store's
-    [(commits, aborts)] tally, default [(0, 0)]. *)
+(** Run totals over one latency per acknowledged request. [txns] is the
+    store's [(commits, aborts)] tally, default [(0, 0)]. *)
 
 val pp_stats : Format.formatter -> stats -> unit

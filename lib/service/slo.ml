@@ -7,9 +7,10 @@
    that makes each outage visible as a hole in the series rather than a
    blip in a run-total mean.
 
-   Everything here is a pure function of the outcome (ack streams,
-   downtime windows, rejected arrivals), so reports and timelines of a
-   deterministic run are byte-identical under any --jobs fan-out. *)
+   Everything here is a pure function of the outcome (its served-request
+   ledger, downtime windows, rejected arrivals), so reports and
+   timelines of a deterministic run are byte-identical under any --jobs
+   fan-out. *)
 
 module Series = Capri_obs.Series
 module Table = Capri_util.Table
@@ -56,118 +57,86 @@ let windows_of (outcome : Server.outcome) =
 let overlaps windows ~start ~ack =
   List.exists (fun w -> start < w.finish && ack > w.start) windows
 
-(* Accounting runs over the logical per-shard views: identical to the
-   physical streams for a pinned store, and for a scheduled one it
-   strips the slice headers (framing, not service) and regroups acks by
-   shard so the numbers are core-count-independent. *)
-let intervals (t : Server.t) (outcome : Server.outcome) =
-  let loop = t.Server.cfg.Server.client.Client.loop in
-  let logical, _ = Server.views t outcome in
-  Array.fold_left
-    (fun acc stream_acks ->
-      List.rev_append (Sla.request_intervals ~loop stream_acks) acc)
-    [] logical
+let pct l = if l = [] then 0.0 else Stat.percentile 99.0 l
 
-(* Per-tenant rows of the report: each served response attributes to
-   its tenant through the replay metadata, and splits in/out of the
-   recovery windows exactly like the global tallies — so a noisy
-   neighbor's tail is visible next to its victims', not averaged away. *)
-let tenant_rows (t : Server.t) (outcome : Server.outcome) windows =
+(* Latencies of the ledger records overlapping an outage, and of the
+   rest. *)
+let split windows served =
+  List.partition_map
+    (fun (r : Server.served) ->
+      let l = float_of_int r.Server.latency in
+      if overlaps windows ~start:r.Server.start ~ack:r.Server.ack then Left l
+      else Right l)
+    served
+
+(* Per-tenant rows of the report split in/out of the recovery windows
+   exactly like the global tallies — so a noisy neighbor's tail is
+   visible next to its victims', not averaged away. *)
+let tenant_rows (t : Server.t) windows served =
   match t.Server.workload with
   | None -> []
   | Some tw ->
-    let loop = t.Server.cfg.Server.client.Client.loop in
-    let logical, _ = Server.views t outcome in
-    let meta = Sla.response_meta (Sla.replay t.Server.kv) in
-    let acc = Array.init tw.Client.tenants (fun _ -> ref ([], [])) in
-    Array.iteri
-      (fun stream stream_acks ->
-        List.iteri
-          (fun i (start, ack, lat) ->
-            let md =
-              if stream < Array.length meta && i < Array.length meta.(stream)
-              then meta.(stream).(i)
-              else { Sla.kind = "unknown"; tid = -1; key = -1 }
-            in
-            let tn =
-              Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
-                ~txn_tenant:tw.Client.txn_tenant md
-            in
-            let l = float_of_int lat in
-            let ins, outs = !(acc.(tn)) in
-            if overlaps windows ~start ~ack then acc.(tn) := (l :: ins, outs)
-            else acc.(tn) := (ins, l :: outs))
-          (Sla.request_intervals ~loop stream_acks))
-      logical;
-    let pct l = if l = [] then 0.0 else Stat.percentile 99.0 l in
-    Array.to_list
-      (Array.mapi
-         (fun tn r ->
-           let ins, outs = !r in
-           {
-             tenant = tn;
-             t_served = List.length ins + List.length outs;
-             t_in_recovery = List.length ins;
-             t_p99 = pct (ins @ outs);
-             t_p99_in = pct ins;
-             t_p99_out = pct outs;
-           })
-         acc)
+    List.init tw.Client.tenants (fun tenant ->
+        let ins, outs =
+          split windows
+            (List.filter (fun (r : Server.served) -> r.Server.tenant = tenant)
+               served)
+        in
+        {
+          tenant;
+          t_served = List.length ins + List.length outs;
+          t_in_recovery = List.length ins;
+          t_p99 = pct (ins @ outs);
+          t_p99_in = pct ins;
+          t_p99_out = pct outs;
+        })
 
-let report ?slo_p99 ?slo_avail ~(t : Server.t) (outcome : Server.outcome) =
+let report ?slo_p99 ?slo_avail ~(t : Server.t) (outcome : Server.outcome)
+    served =
   let windows = windows_of outcome in
-  let reqs = intervals t outcome in
-  let served = List.length reqs in
-  let lat_in, lat_out =
-    List.partition_map
-      (fun (start, ack, lat) ->
-        if overlaps windows ~start ~ack then Left (float_of_int lat)
-        else Right (float_of_int lat))
-      reqs
+  (* served, p99, availability and replay cycles are the run totals of
+     {!Sla.stats} over the same ledger *)
+  let stats =
+    Sla.stats
+      ~latencies:(List.map (fun (r : Server.served) -> r.Server.latency) served)
+      ~cycles:outcome.Server.cycles ~rejected:t.Server.rejected
+      ~recoveries:outcome.Server.recoveries
+      ~recovery_cycles:outcome.Server.recovery_cycles ()
   in
-  let pct l = if l = [] then 0.0 else Stat.percentile 99.0 l in
-  let down_cycles =
-    List.fold_left (fun acc w -> acc + (w.finish - w.start)) 0 windows
-  in
-  let cycles = outcome.Server.cycles in
-  let availability =
-    if cycles = 0 then 1.0
-    else 1.0 -. (float_of_int down_cycles /. float_of_int cycles)
-  in
-  let recoveries = outcome.Server.recoveries in
-  let p99 = pct (lat_in @ lat_out) in
+  let lat_in, lat_out = split windows served in
   {
-    cycles;
-    served;
-    down_cycles;
-    availability;
+    cycles = outcome.Server.cycles;
+    served = stats.Sla.ops;
+    down_cycles =
+      List.fold_left (fun acc w -> acc + (w.finish - w.start)) 0 windows;
+    availability = stats.Sla.availability;
     windows;
     in_recovery = List.length lat_in;
-    p99;
+    p99 = stats.Sla.p99;
     p99_in = pct lat_in;
     p99_out = pct lat_out;
     mean_replay_blocks =
-      (if recoveries = 0 then 0.0
-       else float_of_int outcome.Server.recovery_blocks /. float_of_int recoveries);
-    mean_replay_cycles =
-      (if recoveries = 0 then 0.0
-       else float_of_int outcome.Server.recovery_cycles /. float_of_int recoveries);
+      (if outcome.Server.recoveries = 0 then 0.0
+       else
+         float_of_int outcome.Server.recovery_blocks
+         /. float_of_int outcome.Server.recoveries);
+    mean_replay_cycles = stats.Sla.mean_recovery;
     slo_p99;
     slo_avail;
     p99_burn =
       Option.map
-        (fun target -> p99 /. float_of_int (max 1 target))
+        (fun target -> stats.Sla.p99 /. float_of_int (max 1 target))
         slo_p99;
     avail_burn =
       Option.map
         (fun target ->
           (* error-budget burn: observed unavailability over allowed *)
           let budget = 1.0 -. target in
-          let burnt = 1.0 -. availability in
+          let burnt = 1.0 -. stats.Sla.availability in
           if budget <= 0.0 then if burnt <= 0.0 then 0.0 else infinity
           else burnt /. budget)
         slo_avail;
-    tenants = tenant_rows t outcome windows;
+    tenants = tenant_rows t windows served;
   }
 
 (* ------------------- timeline ------------------- *)
@@ -178,7 +147,7 @@ let report ?slo_p99 ?slo_avail ~(t : Server.t) (outcome : Server.outcome) =
 let default_windows = 24
 let min_width = 256
 
-let timeline ?width ~(t : Server.t) (outcome : Server.outcome) =
+let timeline ?width ~(t : Server.t) (outcome : Server.outcome) served =
   let width =
     match width with
     | Some w -> w
@@ -186,9 +155,9 @@ let timeline ?width ~(t : Server.t) (outcome : Server.outcome) =
   in
   let s = Series.create ~width () in
   List.iter
-    (fun (start, ack, lat) ->
+    (fun { Server.start; ack; latency; _ } ->
       Series.inc s ~ts:ack "ops";
-      Series.observe s ~ts:ack "latency_cycles" lat;
+      Series.observe s ~ts:ack "latency_cycles" latency;
       (* every window the service interval touches counts one in-flight
          request — a windowed queue-depth proxy *)
       let w0 = Series.window_of s ~ts:start in
@@ -196,7 +165,7 @@ let timeline ?width ~(t : Server.t) (outcome : Server.outcome) =
       for w = w0 to w1 do
         Series.add s ~ts:(w * width) "inflight" 1
       done)
-    (intervals t outcome);
+    served;
   List.iter (fun ts -> Series.inc s ~ts "rejected") t.Server.rejected_at;
   List.iter
     (fun w ->

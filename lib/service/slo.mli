@@ -7,8 +7,9 @@
     windowed {!Capri_obs.Series} timeline of throughput, latency
     percentiles, in-flight depth, rejects and downtime per window.
 
-    Pure functions of the outcome: reports and timelines of a
-    deterministic run render byte-identically under any [--jobs]. *)
+    Pure functions of the outcome and its {!Server.served} ledger:
+    reports and timelines of a deterministic run render
+    byte-identically under any [--jobs]. *)
 
 type window = { start : int; finish : int; blocks : int }
 (** One unavailability window in absolute cycles: service stops at the
@@ -23,8 +24,8 @@ type tenant_row = {
   t_p99_in : float;  (** p99 of this tenant's requests overlapping an outage *)
   t_p99_out : float;
 }
-(** One tenant's share of the report, attributed via {!Sla.tenant_of}
-    over the logical per-shard views. *)
+(** One tenant's share of the report: the ledger records carrying its
+    {!Server.served.tenant}. *)
 
 type report = {
   cycles : int;  (** total run length, recovery time included *)
@@ -50,11 +51,24 @@ type report = {
 }
 
 val report :
-  ?slo_p99:int -> ?slo_avail:float -> t:Server.t -> Server.outcome -> report
+  ?slo_p99:int ->
+  ?slo_avail:float ->
+  t:Server.t ->
+  Server.outcome ->
+  Server.served list ->
+  report
+(** Over the run's ledger ({!Server.served}): [served], [p99],
+    [availability] and [mean_replay_cycles] are {!Sla.stats}' [ops],
+    [p99], [availability] and [mean_recovery] of the same requests. *)
 
-val timeline : ?width:int -> t:Server.t -> Server.outcome -> Capri_obs.Series.t
-(** Windowed series over the run: counters [ops], [inflight] (requests
-    whose service interval touches the window), [rejected],
+val timeline :
+  ?width:int ->
+  t:Server.t ->
+  Server.outcome ->
+  Server.served list ->
+  Capri_obs.Series.t
+(** Windowed series over the run's ledger: counters [ops], [inflight]
+    (requests whose service interval touches the window), [rejected],
     [down_cycles] (outage overlap), [recoveries], and histogram
     [latency_cycles] (observed at the ack). Default [width] splits the
     run into ~24 windows, floored at 256 cycles. *)

@@ -10,16 +10,19 @@ module Prune = Capri_compiler.Prune
 (* The paper's Figure 3, reconstructed:
 
      region 0:  r1 = load, r3 = load            (r1, r3 checkpointed)
-     region 1:  if r1 > 0 then r2 = r3
-                           else r2 = r1 + r3    (r2 checkpointed twice)
+     region 1:  store (r1 > 0)
+                if r1 > 0 then r2 = r3
+                          else r2 = r1 + r3     (r2 checkpointed twice)
      region 2:  store r2                        (r2 dies here)
 
    The two r2 checkpoints are reconstructible from the slots of r1 and
    r3 by replaying region 1's slice, so pruning removes them and attaches
-   a recovery block to region 2's boundary. *)
+   a recovery block to region 2's boundary. Region 1's store makes it
+   commit (a store-free region is elided), which moves the resume record
+   onto region 2's boundary, so crashes inside region 2 run the block. *)
 let figure3_program () =
   let b = Builder.create () in
-  let data = Builder.alloc_init b [| 5; 11; 0 |] in
+  let data = Builder.alloc_init b [| 5; 11; 0; 0 |] in
   let f = Builder.func b "main" in
   let left = Builder.block f "left" in
   let right = Builder.block f "right" in
@@ -29,6 +32,7 @@ let figure3_program () =
   Builder.load f (r 3) ~base:(r 9) ~off:1 ();
   Builder.fence f;  (* region 1 starts *)
   Builder.binop f Instr.Lt (r 4) (im 0) (rg 1);
+  Builder.store f ~base:(r 9) ~off:3 (rg 4);
   Builder.branch f (rg 4) left right;
   Builder.switch f left;
   Builder.mv f (r 2) (r 3);
@@ -77,12 +81,18 @@ let test_pruned_recovery_block_recomputes () =
     (Hashtbl.length compiled.Compiled.recovery > 0);
   (* crash at every instruction: region 2 crashes exercise the block *)
   let total = reference.Executor.instrs in
+  let blocks = ref 0 in
   for at = 1 to total - 1 do
-    let result, _, _ = Verify.run_with_crashes ~crash_at:[ at ] compiled in
+    let result, _, replayed =
+      Verify.run_with_crashes ~crash_at:[ at ] compiled
+    in
+    blocks := !blocks + replayed;
     match Verify.check_equivalence ~reference ~candidate:result with
     | Ok () -> ()
     | Error e -> Alcotest.failf "crash at %d: %s" at e
-  done
+  done;
+  Alcotest.(check bool) "some crash replayed a recovery block" true
+    (!blocks > 0)
 
 let test_prune_respects_liveness () =
   (* If r2 stays live past region 2, pruning must not fire. *)

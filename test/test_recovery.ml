@@ -6,12 +6,15 @@ open Capri
 open Helpers
 module W = Capri_workloads
 
-let exhaustive_sweep name compiled threads =
+(* Crash at every dynamic instruction; [blocks] accumulates the
+   recovery blocks the sweep replayed. *)
+let exhaustive_sweep ?(blocks = ref 0) name compiled threads =
   let reference = Verify.reference ~threads compiled in
   for at = 1 to reference.Executor.instrs - 1 do
-    let result, _, _ =
+    let result, _, replayed =
       Verify.run_with_crashes ~threads ~crash_at:[ at ] compiled
     in
+    blocks := !blocks + replayed;
     match Verify.check_equivalence ~reference ~candidate:result with
     | Ok () -> ()
     | Error e -> Alcotest.failf "%s: crash at %d: %s" name at e
@@ -159,18 +162,22 @@ let figure3_compiled ?(store_in_region_1 = false) threshold =
   (program, Pipeline.compile options program)
 
 let test_recovery_block_exhaustive () =
-  (* A pruned program crash-swept at every dynamic instruction under a
-     couple of thresholds. *)
+  (* Pruned programs crash-swept at every dynamic instruction under a
+     couple of thresholds; with a store in region 1, late crashes replay
+     recovery blocks. *)
+  let blocks = ref 0 in
   List.iter
-    (fun threshold ->
-      let program, compiled = figure3_compiled threshold in
+    (fun (threshold, store_in_region_1) ->
+      let program, compiled = figure3_compiled ~store_in_region_1 threshold in
       Alcotest.(check bool) "pruned" true
         (compiled.Compiled.prune_report.Capri_compiler.Prune.ckpts_pruned > 0);
-      exhaustive_sweep
-        (Printf.sprintf "figure3@%d" threshold)
+      exhaustive_sweep ~blocks
+        (Printf.sprintf "figure3@%d%s" threshold
+           (if store_in_region_1 then "+store" else ""))
         compiled
         [ Executor.main_thread program ])
-    [ 16; 256 ]
+    [ (16, false); (256, false); (16, true); (256, true) ];
+  Alcotest.(check bool) "the sweep replayed recovery blocks" true (!blocks > 0)
 
 let test_on_recover_hook () =
   (* [on_recover] fires once per fired crash, in schedule order, with

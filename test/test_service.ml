@@ -154,9 +154,9 @@ let test_txn_commit_and_abort () =
   let p = Sla.replay kv in
   Alcotest.(check (list bool)) "decisions" [ true; false ]
     (Array.to_list (Sla.decisions p));
-  let commits, aborts = Sla.txn_outcomes kv in
-  Alcotest.(check int) "commits" 1 commits;
-  Alcotest.(check int) "aborts" 1 aborts;
+  let s = Server.stats t outcome in
+  Alcotest.(check int) "commits" 1 s.Sla.txn_commits;
+  Alcotest.(check int) "aborts" 1 s.Sla.txn_aborts;
   (* response streams: shard 0 = single-put ack, txn-1 cas ack, then
      Aborted; shard 1 = two item acks then Aborted; coordinator = one
      outcome per txn *)
@@ -381,7 +381,8 @@ let test_slo_report_and_timeline () =
     Server.trial ~crash_at:(fun total -> [ total / 3; total / 2 ]) t
   in
   check_ok t outcome;
-  let r = Slo.report ~slo_p99:1_000_000 ~slo_avail:0.5 ~t outcome in
+  let ledger = Server.served t outcome in
+  let r = Slo.report ~slo_p99:1_000_000 ~slo_avail:0.5 ~t outcome ledger in
   Alcotest.(check int) "one window per recovery" outcome.Server.recoveries
     (List.length r.Slo.windows);
   Alcotest.(check int) "down cycles = modeled recovery time"
@@ -400,7 +401,7 @@ let test_slo_report_and_timeline () =
   Alcotest.(check bool) "avail target met" true
     (r.Slo.availability >= 0.5);
   (* the timeline conserves ops and downtime *)
-  let series = Slo.timeline ~t outcome in
+  let series = Slo.timeline ~t outcome ledger in
   let module Series = Capri_obs.Series in
   let sum name =
     Series.fold series
@@ -415,6 +416,43 @@ let test_slo_report_and_timeline () =
     (sum "down_cycles");
   Alcotest.(check int) "timeline recoveries conserved"
     outcome.Server.recoveries (sum "recoveries")
+
+let test_served_ledger_alignment () =
+  (* Under scheduler demux the ledger lines up index-for-index with the
+     replayed streams: a scheduled 3-tenant store, txns, two crashes. *)
+  let t =
+    Server.plan
+      {
+        (mk ~shards:3 ~ops:30 ~txns:3 ()) with
+        Server.sched = Some { Sched.cores = 2; quantum = 4; steal = true };
+        tenants = Some (Client.noisy_tenants ~tenants:3 ~skew:1.2);
+      }
+  in
+  let _, outcome = Server.trial ~crash_at:(Server.even 2) t in
+  check_ok t outcome;
+  Alcotest.(check int) "two recoveries" 2 outcome.Server.recoveries;
+  let stats = Server.stats t outcome in
+  Alcotest.(check bool) "carries transactions" true
+    (stats.Sla.txn_commits + stats.Sla.txn_aborts > 0);
+  let ledger = Server.served t outcome in
+  Alcotest.(check int) "one record per acked request" stats.Sla.ops
+    (List.length ledger);
+  let p = Sla.replay t.Server.kv in
+  let counts = Array.make 3 0 in
+  List.iter
+    (fun (r : Server.served) ->
+      let at = Printf.sprintf "stream %d request %d" r.stream r.index in
+      let md = (Sla.response_meta p).(r.stream).(r.index) in
+      Alcotest.(check int) (at ^ " response")
+        (Sla.expected_streams p).(r.stream).(r.index) r.resp;
+      Alcotest.(check string) (at ^ " kind") md.Sla.kind r.meta.Sla.kind;
+      Alcotest.(check int) (at ^ " tid") md.Sla.tid r.meta.Sla.tid;
+      counts.(r.tenant) <- counts.(r.tenant) + 1)
+    ledger;
+  Alcotest.(check (array int)) "per-tenant counts = tenant_stats served"
+    (Array.map fst (Server.tenant_stats t outcome)) counts;
+  Alcotest.(check int) "tenant counts sum to ops" stats.Sla.ops
+    (Array.fold_left ( + ) 0 counts)
 
 let test_latency_labeled_by_op_kind () =
   let obs = Capri_obs.Obs.create () in
@@ -1173,6 +1211,8 @@ let suite =
       test_obs_does_not_perturb;
     Alcotest.test_case "slo report and timeline" `Quick
       test_slo_report_and_timeline;
+    Alcotest.test_case "served ledger aligns with replay" `Quick
+      test_served_ledger_alignment;
     Alcotest.test_case "latency labeled by op kind" `Quick
       test_latency_labeled_by_op_kind;
     Alcotest.test_case "sched: demux and migrations" `Quick test_sched_demux;
