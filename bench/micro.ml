@@ -17,7 +17,7 @@ let test_cache =
            let line = i * 7 mod 1024 in
            if Capri_arch.Cache.mem c line then
              Capri_arch.Cache.touch c line ~dirty:(i land 1 = 0)
-           else ignore (Capri_arch.Cache.insert c line ~dirty:(i land 1 = 0))
+           else Capri_arch.Cache.insert c line ~dirty:(i land 1 = 0)
          done))
 
 let test_liveness =

@@ -8,9 +8,9 @@ type t = {
   mutable insertions : int;
   mutable evictions : int;
   mutable dirty_evictions : int;
+  mutable victim_line : int;  (* last [insert]'s victim; -1 = none *)
+  mutable victim_dirty : bool;
 }
-
-type eviction = { line : int; dirty : bool }
 
 type stats = { insertions : int; evictions : int; dirty_evictions : int }
 
@@ -26,92 +26,89 @@ let create ~sets ~ways =
     insertions = 0;
     evictions = 0;
     dirty_evictions = 0;
+    victim_line = -1;
+    victim_dirty = false;
   }
 
-let set_of t line = line land (t.sets - 1)
+let[@inline] set_of t line = Array.unsafe_get t.ways (line land (t.sets - 1))
 
 (* Associativity is small (<= 16 ways), so a linear probe of the set beats
-   hashing the line number on every simulated access. *)
-let find_way t line =
-  let set = t.ways.(set_of t line) in
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then None
-    else
-      let w = Array.unsafe_get set i in
-      if w.line = line then Some w else go (i + 1)
-  in
-  go 0
+   hashing the line number on every simulated access. Top-level recursion
+   (a local [let rec] capturing [line] would be a closure allocated per
+   probe); returns the way index, -1 when absent. *)
+let rec way_index set line i =
+  if i >= Array.length set then -1
+  else if (Array.unsafe_get set i).line = line then i
+  else way_index set line (i + 1)
 
-let mem t line = find_way t line <> None
+let mem t line = way_index (set_of t line) line 0 >= 0
 
 let is_dirty t line =
-  match find_way t line with Some w -> w.dirty | None -> false
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  i >= 0 && (Array.unsafe_get set i).dirty
 
-let touch t line ~dirty =
-  match find_way t line with
-  | Some w ->
+(* Fused residency test + touch: one set probe — the per-access fast path
+   of {!Hierarchy.access} ([mem] followed by [touch] probes the set
+   twice). Returns whether the line was resident; a miss leaves the cache
+   untouched. *)
+let touch_if_present t line ~dirty =
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  i >= 0
+  && begin
+    let w = Array.unsafe_get set i in
     t.tick <- t.tick + 1;
     w.lru <- t.tick;
-    if dirty then w.dirty <- true
-  | None -> invalid_arg "Cache.touch: line not resident"
+    if dirty then w.dirty <- true;
+    true
+  end
 
-(* Fused residency test + touch: one set probe and no option allocation —
-   the per-access fast path of {!Hierarchy.access} ([mem] followed by
-   [touch] probes the set twice). Returns whether the line was resident;
-   a miss leaves the cache untouched. *)
-let touch_if_present t line ~dirty =
-  let set = t.ways.(set_of t line) in
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then false
+let touch t line ~dirty =
+  if not (touch_if_present t line ~dirty) then
+    invalid_arg "Cache.touch: line not resident"
+
+(* The replacement choice: the first invalid way, else the first way with
+   the least LRU stamp. *)
+let rec victim_index set i best =
+  if i >= Array.length set then best
+  else
+    let w = Array.unsafe_get set i in
+    if w.line = -1 then i
     else
-      let w = Array.unsafe_get set i in
-      if w.line = line then begin
-        t.tick <- t.tick + 1;
-        w.lru <- t.tick;
-        if dirty then w.dirty <- true;
-        true
-      end
-      else go (i + 1)
-  in
-  go 0
+      victim_index set (i + 1)
+        (if w.lru < (Array.unsafe_get set best).lru then i else best)
 
 let insert t line ~dirty =
   assert (not (mem t line));
-  let set = t.ways.(set_of t line) in
+  let set = set_of t line in
   t.tick <- t.tick + 1;
-  (* Prefer an invalid way; otherwise evict the LRU way. *)
-  let victim = ref set.(0) in
-  Array.iter
-    (fun (w : way) ->
-      let v : way = !victim in
-      if w.line = -1 && v.line <> -1 then victim := w
-      else if w.line <> -1 && v.line <> -1 && w.lru < v.lru then victim := w)
-    set;
-  let w = !victim in
-  let evicted =
-    if w.line = -1 then None else Some { line = w.line; dirty = w.dirty }
-  in
+  let w = Array.unsafe_get set (victim_index set 0 0) in
   t.insertions <- t.insertions + 1;
-  (match evicted with
-  | Some e ->
+  t.victim_line <- w.line;
+  t.victim_dirty <- w.dirty;
+  if w.line <> -1 then begin
     t.evictions <- t.evictions + 1;
-    if e.dirty then t.dirty_evictions <- t.dirty_evictions + 1
-  | None -> ());
+    if w.dirty then t.dirty_evictions <- t.dirty_evictions + 1
+  end;
   w.line <- line;
   w.dirty <- dirty;
-  w.lru <- t.tick;
-  evicted
+  w.lru <- t.tick
+
+let victim t = t.victim_line
+let victim_dirty t = t.victim_dirty
 
 let invalidate t line =
-  match find_way t line with
-  | Some (w : way) ->
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  i >= 0
+  && begin
+    let w = Array.unsafe_get set i in
     let dirty = w.dirty in
     w.line <- -1;
     w.dirty <- false;
     dirty
-  | None -> false
+  end
 
 let dirty_lines t =
   let acc = ref [] in

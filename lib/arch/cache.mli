@@ -8,8 +8,6 @@
 
 type t
 
-type eviction = { line : int; dirty : bool }
-
 val create : sets:int -> ways:int -> t
 (** [sets] must be a power of two. *)
 
@@ -25,9 +23,18 @@ val touch_if_present : t -> int -> dirty:bool -> bool
     touches if the line is resident, returns [false] (cache untouched)
     otherwise. The hierarchy's per-access fast path. *)
 
-val insert : t -> int -> dirty:bool -> eviction option
-(** Allocate a line (must not be resident); returns the victim if the set
-    was full. *)
+val insert : t -> int -> dirty:bool -> unit
+(** Allocate a line (must not be resident). The replaced way is the first
+    invalid one, else the first least-recently-used one; {!victim} and
+    {!victim_dirty} report what it held. Allocation-free: the victim is
+    read from fields of [t], not returned in a fresh value. *)
+
+val victim : t -> int
+(** The line the last {!insert} evicted, [-1] when it filled an invalid
+    way. Overwritten by the next [insert]. *)
+
+val victim_dirty : t -> bool
+(** Whether {!victim} was dirty ([false] when there was no victim). *)
 
 val invalidate : t -> int -> bool
 (** Remove the line if resident; returns whether it was dirty. *)

@@ -29,9 +29,9 @@ type t = {
   l1 : Cache.t array;  (* per core *)
   l2 : Cache.t;
   dram : Cache.t;
-  owner : (int, int) Hashtbl.t;  (* line -> core owning a dirty L1 copy *)
   on_nvm_writeback :
     cycle:int -> line:int -> data:int array -> version:int -> unit;
+  mutable fetched_dirty : bool;  (* [fetch_from_below]'s second result *)
   c : counters;
   metrics : Metrics.t;
   labels : Metrics.labels;
@@ -56,8 +56,8 @@ let create ?(obs = Obs.null) ?(labels = []) config memory ~on_nvm_writeback =
           mk config.Config.l1_lines config.Config.l1_ways);
     l2 = mk config.Config.l2_lines config.Config.l2_ways;
     dram = Cache.create ~sets:(pow2_ge config.Config.dram_cache_lines) ~ways:1;
-    owner = Hashtbl.create 1024;
     on_nvm_writeback;
+    fetched_dirty = false;
     c =
       {
         c_l1_hits = c "l1_hits";
@@ -83,108 +83,84 @@ let rec sink t ~cycle ~line ~dirty ~from =
     Metrics.Counter.inc t.c.c_writebacks;
     match from with
     | L1 ->
-      Hashtbl.remove t.owner line;
-      if Cache.mem t.l2 line then Cache.touch t.l2 line ~dirty:true
-      else insert_into t ~cycle t.l2 ~line ~dirty:true ~level:L2
+      if not (Cache.touch_if_present t.l2 line ~dirty:true) then
+        insert_into t ~cycle t.l2 ~line ~dirty:true ~level:L2
     | L2 ->
-      if Cache.mem t.dram line then Cache.touch t.dram line ~dirty:true
-      else insert_into t ~cycle t.dram ~line ~dirty:true ~level:Dram
+      if not (Cache.touch_if_present t.dram line ~dirty:true) then
+        insert_into t ~cycle t.dram ~line ~dirty:true ~level:Dram
     | Dram ->
       t.on_nvm_writeback ~cycle ~line
         ~data:(Memory.line_snapshot t.memory line)
         ~version:(Memory.line_version t.memory line)
     | Nvm -> assert false
   end
-  else if from = L1 then Hashtbl.remove t.owner line
 
 and insert_into t ~cycle cache ~line ~dirty ~level =
-  match Cache.insert cache line ~dirty with
-  | None -> ()
-  | Some { Cache.line = victim; dirty = vdirty } ->
-    sink t ~cycle ~line:victim ~dirty:vdirty ~from:level
+  Cache.insert cache line ~dirty;
+  let victim = Cache.victim cache in
+  if victim >= 0 then
+    sink t ~cycle ~line:victim ~dirty:(Cache.victim_dirty cache) ~from:level
+
+(* Invalidate every L1 copy of [line] except core [keep]'s ([-1] keeps
+   none). Returns whether one of them was dirty. *)
+let invalidate_l1s t line ~keep =
+  let stolen = ref false in
+  for i = 0 to Array.length t.l1 - 1 do
+    let l1 = t.l1.(i) in
+    if i <> keep && Cache.mem l1 line then begin
+      if Cache.invalidate l1 line then stolen := true;
+      Metrics.Counter.inc t.c.c_invalidations
+    end
+  done;
+  !stolen
 
 (* Find the line below L1 and remove it from there (it moves up). Returns
-   the level it was found at and whether the copy was dirty. *)
-let fetch_from_below t ~cycle ~line =
-  (* Another core's L1? Dirty-or-clean, invalidate it; dirty data migrates
-     (it stays architecturally current, nothing to write back). *)
-  let stolen_dirty = ref false in
-  (match Hashtbl.find_opt t.owner line with
-   | Some other ->
-     ignore (Cache.invalidate t.l1.(other) line);
-     Hashtbl.remove t.owner line;
-     Metrics.Counter.inc t.c.c_invalidations;
-     stolen_dirty := true
-   | None ->
-     Array.iteri
-       (fun _ l1 ->
-         if Cache.mem l1 line then begin
-           ignore (Cache.invalidate l1 line);
-           Metrics.Counter.inc t.c.c_invalidations
-         end)
-       t.l1);
-  if !stolen_dirty then (L2, true)  (* cache-to-cache transfer, L2-ish cost *)
+   the level it was found at; whether the copy was dirty is left in
+   [t.fetched_dirty] (an out-field, not a result tuple per miss). Every
+   other L1 copy is invalidated first. A dirty one is another core's
+   exclusive copy: its data migrates (it stays architecturally current,
+   nothing to write back), at L2-ish cost. *)
+let fetch_from_below t ~line =
+  if invalidate_l1s t line ~keep:(-1) then begin
+    t.fetched_dirty <- true;
+    L2
+  end
   else if Cache.mem t.l2 line then begin
-    let dirty = Cache.invalidate t.l2 line in
-    (L2, dirty)
+    t.fetched_dirty <- Cache.invalidate t.l2 line;
+    L2
   end
   else if Cache.mem t.dram line then begin
-    let dirty = Cache.invalidate t.dram line in
-    (Dram, dirty)
+    t.fetched_dirty <- Cache.invalidate t.dram line;
+    Dram
   end
   else begin
-    ignore cycle;
-    (Nvm, false)
+    t.fetched_dirty <- false;
+    Nvm
   end
 
+(* Coherence needs no owner table: a dirty L1 copy is exclusive (a write
+   invalidates every other L1 copy; a miss steals or drops them), so the
+   core owning a line is the one whose L1 holds it dirty. *)
 let access t ~core ~cycle ~addr ~write =
   let line = Memory.line_of_addr addr in
   let l1 = t.l1.(core) in
+  (* A write to an already-dirty copy is the steady state of a
+     store-heavy loop: the core owns the line, nobody else has it. *)
+  let owned = write && Cache.is_dirty l1 line in
   if Cache.touch_if_present l1 line ~dirty:write then begin
-    (* On a write, ownership may still belong elsewhere only if the copy
-       was shared; steal it. *)
-    if write then begin
-      (match Hashtbl.find_opt t.owner line with
-       | Some other when other = core ->
-         (* Already the exclusive dirty owner — the steady state of a
-            store-heavy loop; rewriting the binding would be a no-op. *)
-         ()
-       | Some other ->
-         ignore (Cache.invalidate t.l1.(other) line);
-         Metrics.Counter.inc t.c.c_invalidations;
-         (* also drop other shared copies *)
-         Array.iteri
-           (fun i l1o ->
-             if i <> core && Cache.mem l1o line then begin
-               ignore (Cache.invalidate l1o line);
-               Metrics.Counter.inc t.c.c_invalidations
-             end)
-           t.l1;
-         Hashtbl.replace t.owner line core
-       | None ->
-         Array.iteri
-           (fun i l1o ->
-             if i <> core && Cache.mem l1o line then begin
-               ignore (Cache.invalidate l1o line);
-               Metrics.Counter.inc t.c.c_invalidations
-             end)
-           t.l1;
-         Hashtbl.replace t.owner line core)
-    end;
+    (* Writing a shared clean copy takes ownership: drop the others. *)
+    if write && not owned then ignore (invalidate_l1s t line ~keep:core);
     Metrics.Counter.inc t.c.c_l1_hits;
     L1
   end
   else begin
-    let found_at, was_dirty = fetch_from_below t ~cycle ~line in
+    let found_at = fetch_from_below t ~line in
     (match found_at with
      | L2 -> Metrics.Counter.inc t.c.c_l2_hits
      | Dram -> Metrics.Counter.inc t.c.c_dram_hits
      | Nvm -> Metrics.Counter.inc t.c.c_nvm_accesses
      | L1 -> assert false);
-    let dirty = write || was_dirty in
-    if write then Hashtbl.replace t.owner line core
-    else if was_dirty then Hashtbl.replace t.owner line core;
-    insert_into t ~cycle l1 ~line ~dirty ~level:L1;
+    insert_into t ~cycle l1 ~line ~dirty:(write || t.fetched_dirty) ~level:L1;
     found_at
   end
 
@@ -197,7 +173,6 @@ let flush_all t ~cycle =
       List.iter
         (fun line ->
           ignore (Cache.invalidate l1 line);
-          Hashtbl.remove t.owner line;
           t.on_nvm_writeback ~cycle ~line
             ~data:(Memory.line_snapshot t.memory line)
             ~version:(Memory.line_version t.memory line))
@@ -221,8 +196,7 @@ let flush_all t ~cycle =
 let drop_all t =
   Array.iter Cache.clear t.l1;
   Cache.clear t.l2;
-  Cache.clear t.dram;
-  Hashtbl.reset t.owner
+  Cache.clear t.dram
 
 let stats t =
   let v = Metrics.Counter.value in

@@ -109,6 +109,24 @@ let line_version t l =
   | None -> 0
   | Some p -> p.version.(l land page_off_mask)
 
+(* Stands in for an absent page: every word reads as zero. Never
+   written. *)
+let zero_page = Array.make (page_lines * line_words) 0
+
+let[@inline] page_data t pidx =
+  match find_page t pidx with None -> zero_page | Some p -> p.data
+
+let rec words_equal da db base o =
+  o >= line_words
+  || Array.unsafe_get da (base + o) = Array.unsafe_get db (base + o)
+     && words_equal da db base (o + 1)
+
+let line_equal a b l =
+  let pidx = l asr page_bits in
+  words_equal (page_data a pidx) (page_data b pidx)
+    ((l land page_off_mask) lsl line_bits)
+    0
+
 let write_line t l data =
   let p = get_page t (l asr page_bits) in
   let lo = l land page_off_mask in

@@ -18,6 +18,11 @@ val addr_of_line : int -> int
 val line_snapshot : t -> int -> int array
 (** Fresh copy of the line's current contents. *)
 
+val line_equal : t -> t -> int -> bool
+(** [line_equal a b l]: line [l] holds the same words in [a] and [b]
+    (absent lines read as zeros) — [line_snapshot a l = line_snapshot b l]
+    without copying either line. *)
+
 val line_version : t -> int -> int
 val write_line : t -> int -> int array -> unit
 (** Overwrite a whole line (used to rebuild memory from NVM at

@@ -130,13 +130,6 @@ type entry = {
   seq : int;  (* dynamic region sequence number, per core *)
 }
 
-type commit_info = {
-  resume_boundary : int;
-  sp : int;
-  elide_resume : bool;
-  outs : int list;  (* the region's journaled outputs, in order *)
-}
-
 let dummy_entry =
   { line = min_int; undo = [||]; redo = [||]; mask = 0; version = 0;
     valid = false; seq = min_int }
@@ -246,40 +239,61 @@ module Fifo = struct
     q.head <- (q.head + 1) land q.mask;
     q.len <- q.len - 1;
     v
-
-  let iter f q =
-    for i = 0 to q.len - 1 do
-      f q.vals.((q.head + i) land q.mask)
-    done
-
-  let clear q =
-    Array.fill q.vals 0 (Array.length q.vals) q.dummy;
-    q.head <- 0;
-    q.len <- 0
 end
 
-(* An item travelling the per-core proxy path, in FIFO order. *)
-type item =
-  | Data of entry
-  | Ckpt_flush of { seq : int; slot : int; value : int }
-  | Commit of { seq : int; info : commit_info }
+type kind = Data | Ckpt_flush | Commit
 
-let dummy_item =
-  Commit { seq = min_int;
-           info = { resume_boundary = -1; sp = 0; elide_resume = true;
-                    outs = [] } }
-
-(* A region as seen by the back-end proxy. *)
-type back_region = {
-  mutable bseq : int;
-  mutable bentries : entry list;  (* reverse arrival order *)
-  mutable bcount : int;
-  mutable bslots : (int * int) list;
-  mutable bcommit : commit_info option;
+(* An item travelling the per-core proxy path, in FIFO order: a proxy
+   entry, one checkpoint slot's final value, or a region's commit marker.
+   Items are mutable records recycled through the core's pool (see
+   [take_item]), so the millions of flushes and commit markers a run
+   sends cost no allocation; the fields a kind does not use are inert. *)
+type item = {
+  mutable kind : kind;
+  mutable iseq : int;  (* the region the item belongs to *)
+  mutable entry : entry;  (* Data *)
+  mutable slot : int;  (* Ckpt_flush *)
+  mutable value : int;  (* Ckpt_flush *)
+  mutable boundary : int;  (* Commit: resume boundary, -1 = halt *)
+  mutable sp : int;  (* Commit *)
+  mutable outs : int list;  (* Commit: the region's journaled outputs *)
 }
 
-let dummy_back =
-  { bseq = min_int; bentries = []; bcount = 0; bslots = []; bcommit = None }
+let new_item () =
+  { kind = Commit; iseq = min_int; entry = dummy_entry; slot = 0; value = 0;
+    boundary = -1; sp = 0; outs = [] }
+
+(* Fills the queues' empty cells; never sent. *)
+let dummy_item = new_item ()
+
+(* A region as seen by the back-end proxy. Records are recycled (see
+   [back_region_for]); the slot log is two int arrays, one cell per
+   architected register, since a region flushes each slot at most
+   once. *)
+type back_region = {
+  mutable bseq : int;
+  mutable bents : entry array;  (* arrival order; [bcount] live *)
+  mutable bcount : int;
+  bslot_idx : int array;  (* arrival order; [bslot_n] live *)
+  bslot_val : int array;
+  mutable bslot_n : int;
+  mutable bcommitted : bool;  (* its commit marker has arrived *)
+  mutable bboundary : int;  (* the marker's fields, once [bcommitted] *)
+  mutable bsp : int;
+  mutable bouts : int list;
+}
+
+let new_back_region () =
+  { bseq = min_int; bents = Array.make 8 dummy_entry; bcount = 0;
+    bslot_idx = Array.make Capri_ir.Reg.count 0;
+    bslot_val = Array.make Capri_ir.Reg.count 0; bslot_n = 0;
+    bcommitted = false; bboundary = -1; bsp = 0; bouts = [] }
+
+(* The durable resume record, unboxed into [core_state.res_boundary] /
+   [res_sp] so a commit flips it without allocating: a boundary id
+   (>= 0) means [Resume], otherwise one of these two. *)
+let res_done = -1
+let res_never_started = -2
 
 type core_state = {
   id : int;
@@ -314,13 +328,16 @@ type core_state = {
   mutable open_entries : int;  (* data entries created in the open region *)
   mutable next_drain : int;
   arrivals : item Ring.t;  (* in flight on the proxy path, FIFO *)
-  mutable back : back_region list;  (* ascending seq *)
-  mutable back_spare : back_region;
-      (* recycled region record: regions commit in order, so one spare
-         covers the steady state and back-region allocation happens once,
-         not once per dynamic region. [dummy_back] = empty. *)
+  mutable pool : item array;  (* recycled items; [pool_n] live *)
+  mutable pool_n : int;
+  mutable back : back_region array;
+      (* [0, back_n): the back-end's regions, ascending seq; the cells
+         past [back_n] are spare records for recycling — regions commit
+         in order, so a couple of records cover the steady state *)
+  mutable back_n : int;
   mutable back_used : int;
-  mutable resume : resume;
+  mutable res_boundary : int;  (* the resume record, see [res_done] *)
+  mutable res_sp : int;
   slot_array : int array;
   mutable halted : bool;
 }
@@ -329,7 +346,9 @@ type t = {
   config : Config.t;
   mode : mode;
   cores : core_state array;
-  frees : (int * int) Ring.t;  (* back-end space releases: (core, n) *)
+  frees : int Ring.t;
+      (* back-end space releases, packed [core + n * cores]: n entries of
+         the core's back-end proxy free up *)
   mutable eserial : int;  (* global event order stamp across all rings *)
   nvm : Memory.t;  (* durable contents *)
   mutable stamp_pages : int array array;
@@ -378,14 +397,17 @@ let create ?(obs = Obs.null) config ~mode =
             open_entries = 0;
             next_drain = 0;
             arrivals = Ring.create dummy_item;
-            back = [];
-            back_spare = dummy_back;
+            pool = [||];
+            pool_n = 0;
+            back = [||];
+            back_n = 0;
             back_used = 0;
-            resume = Never_started;
+            res_boundary = res_never_started;
+            res_sp = 0;
             slot_array = Array.make Capri_ir.Reg.count 0;
             halted = false;
           });
-    frees = Ring.create (0, 0);
+    frees = Ring.create 0;
     eserial = 0;
     nvm = Memory.create ();
     stamp_pages = [||];
@@ -424,18 +446,33 @@ let stats t =
     journal_truncated = v t.c.c_journal_truncated;
   }
 
+let resume_of cs =
+  if cs.res_boundary >= 0 then
+    Resume { boundary = cs.res_boundary; sp = cs.res_sp }
+  else if cs.res_boundary = res_done then Done
+  else Never_started
+
+(* A commit's resume flip: boundary -1 is the halt marker. *)
+let commit_resume cs ~boundary ~sp =
+  cs.res_boundary <- (if boundary >= 0 then boundary else res_done);
+  cs.res_sp <- sp
+
 let init_slots t ~core ~slots ~resume_boundary ~sp =
   let cs = t.cores.(core) in
   Array.blit slots 0 cs.slot_array 0 (Array.length cs.slot_array);
   match resume_boundary with
-  | Some boundary -> cs.resume <- Resume { boundary; sp }
-  | None -> cs.resume <- Never_started
+  | Some boundary -> commit_resume cs ~boundary ~sp
+  | None -> cs.res_boundary <- res_never_started
 
 let seed_core t ~core ~slots ~resume =
   let cs = t.cores.(core) in
   Array.blit slots 0 cs.slot_array 0 (Array.length cs.slot_array);
-  cs.resume <- resume;
-  (match resume with Done -> cs.halted <- true | Resume _ | Never_started -> ())
+  match resume with
+  | Resume { boundary; sp } -> commit_resume cs ~boundary ~sp
+  | Done ->
+    cs.res_boundary <- res_done;
+    cs.halted <- true
+  | Never_started -> cs.res_boundary <- res_never_started
 
 let stamp_page t line =
   let p = line lsr 8 in
@@ -457,7 +494,7 @@ let stamp_page t line =
    at least as new as what that word already holds. [kind] attributes the
    line write to one of the three traffic categories at the single choke
    point, so nvm_line_writes = wb + redo + slot holds by construction. *)
-let nvm_write ?(mask = 0xFF) t ~kind ~line ~data ~version =
+let nvm_write t ~mask ~kind ~line ~data ~version =
   let stamps = stamp_page t line in
   let base = (line land 255) * Config.line_words in
   Metrics.Counter.inc t.c.c_nvm_line_writes;
@@ -483,6 +520,7 @@ let nvm_write ?(mask = 0xFF) t ~kind ~line ~data ~version =
   end
 
 let nvm_line t line = Memory.line_snapshot t.nvm line
+let nvm_line_equal t memory line = Memory.line_equal t.nvm memory line
 
 (* Loader/restart path: install a line of the initial (or recovered)
    durable image directly, regardless of mode. Routing this through
@@ -491,7 +529,7 @@ let nvm_line t line = Memory.line_snapshot t.nvm line
    segment non-durable before the first committed region (lost by a
    crash at instruction 0; found by the fuzzer). *)
 let install_line t ~line ~data ~version =
-  ignore (nvm_write t ~kind:`Wb ~line ~data ~version)
+  ignore (nvm_write t ~mask:0xFF ~kind:`Wb ~line ~data ~version)
 
 (* ---------------- cross-core conflict fence ---------------- *)
 
@@ -500,9 +538,9 @@ let install_line t ~line ~data ~version =
    slightly conservative when several of a core's regions overlap on a
    line, never unsound. *)
 let pending_counts t line =
-  match Hashtbl.find_opt t.pending line with
-  | Some a -> a
-  | None ->
+  match Hashtbl.find t.pending line with
+  | a -> a
+  | exception Not_found ->
     let a = Array.make (2 * t.config.Config.cores) 0 in
     Hashtbl.replace t.pending line a;
     a
@@ -567,31 +605,77 @@ let fi_unbind cs e =
 
 (* ---------------- back-end ---------------- *)
 
+let rec back_index cs seq i =
+  if i < 0 then -1
+  else if (Array.unsafe_get cs.back i).bseq = seq then i
+  else back_index cs seq (i - 1)
+
+(* The back-end region record for [seq], opened on first delivery.
+   Delivery is FIFO and regions complete in order, so the region being
+   delivered to is almost always the newest; a new one reuses a spare
+   record past [back_n] when there is one. *)
 let back_region_for cs seq =
-  (* FIFO delivery means the region being delivered to is almost always
-     the head of [back] (regions complete in order); the scan and the
-     append only run on region creation and the rare multi-region case. *)
-  match cs.back with
-  | r :: _ when r.bseq = seq -> r
-  | l ->
-    let rec find = function
-      | [] ->
-        let r =
-          if cs.back_spare != dummy_back then begin
-            let r = cs.back_spare in
-            cs.back_spare <- dummy_back;
-            r.bseq <- seq;
-            r
-          end
-          else
-            { bseq = seq; bentries = []; bcount = 0; bslots = [];
-              bcommit = None }
-        in
-        cs.back <- cs.back @ [ r ];
-        r
-      | r :: tl -> if r.bseq = seq then r else find tl
-    in
-    find l
+  let i = back_index cs seq (cs.back_n - 1) in
+  if i >= 0 then cs.back.(i)
+  else begin
+    let n = cs.back_n in
+    if n = Array.length cs.back then
+      cs.back <-
+        Array.init (max 2 (2 * n)) (fun j ->
+            if j < n then cs.back.(j) else new_back_region ());
+    let r = cs.back.(n) in
+    cs.back_n <- n + 1;
+    r.bseq <- seq;
+    r.bcount <- 0;
+    r.bslot_n <- 0;
+    r.bcommitted <- false;
+    r
+  end
+
+let add_entry r e =
+  if r.bcount = Array.length r.bents then begin
+    let grown = Array.make (2 * r.bcount) dummy_entry in
+    Array.blit r.bents 0 grown 0 r.bcount;
+    r.bents <- grown
+  end;
+  r.bents.(r.bcount) <- e;
+  r.bcount <- r.bcount + 1
+
+let add_slot r ~slot ~value =
+  r.bslot_idx.(r.bslot_n) <- slot;
+  r.bslot_val.(r.bslot_n) <- value;
+  r.bslot_n <- r.bslot_n + 1
+
+(* Drop [r] from the live back regions (it is almost always the oldest)
+   and keep its record as the first spare. *)
+let remove_back cs r =
+  let i = back_index cs r.bseq (cs.back_n - 1) in
+  Array.blit cs.back (i + 1) cs.back i (cs.back_n - i - 1);
+  cs.back_n <- cs.back_n - 1;
+  cs.back.(cs.back_n) <- r
+
+(* Take a recycled item record from the core's pool; [give_item] returns
+   it once delivered. *)
+let take_item cs kind seq =
+  let it =
+    if cs.pool_n = 0 then new_item ()
+    else begin
+      cs.pool_n <- cs.pool_n - 1;
+      cs.pool.(cs.pool_n)
+    end
+  in
+  it.kind <- kind;
+  it.iseq <- seq;
+  it
+
+let give_item cs it =
+  if cs.pool_n = Array.length cs.pool then begin
+    let grown = Array.make (max 16 (2 * cs.pool_n)) dummy_item in
+    Array.blit cs.pool 0 grown 0 cs.pool_n;
+    cs.pool <- grown
+  end;
+  cs.pool.(cs.pool_n) <- it;
+  cs.pool_n <- cs.pool_n + 1
 
 let prune_window t now =
   match t.recent_wb with
@@ -600,42 +684,26 @@ let prune_window t now =
     let w = t.config.Config.monitor_window in
     t.recent_wb <- List.filter (fun (_, _, tw) -> tw + w >= now) t.recent_wb
 
-(* [bentries]/[bslots] are in reverse arrival order; recursing into the
-   tail first processes oldest-first without materializing [List.rev].
-   Depth is bounded by back_proxy_entries / the per-region slot count.
-   Top-level (not local to [do_commit]) so no closures are built per
-   commit. pending_dec only touches the conflict table and nvm_write
-   never reads it, so fusing the two passes per entry is observationally
-   identical to the original two-pass loop. Returns the number of line
-   writes issued. *)
-let rec commit_entries t cs now = function
-  | [] -> 0
-  | e :: older ->
-    let n = commit_entries t cs now older in
+(* Phase-2 redo copies, oldest entry first. pending_dec only touches the
+   conflict table and nvm_write never reads it, so fusing the two passes
+   per entry is observationally identical to the original two-pass loop.
+   Returns the number of line writes issued. *)
+let commit_entries t cs r now =
+  let n = ref 0 in
+  for i = 0 to r.bcount - 1 do
+    let e = r.bents.(i) in
     pending_dec t ~core:cs.id ~line:e.line;
-    if not e.valid then begin
-      Metrics.Counter.inc t.c.c_redo_skipped_invalid;
-      n
-    end
+    if not e.valid then Metrics.Counter.inc t.c.c_redo_skipped_invalid
     else begin
       t.nvm_wq_free <-
         max t.nvm_wq_free now + t.config.Config.nvm_write_service;
-      if nvm_write ~mask:e.mask t ~kind:`Redo ~line:e.line ~data:e.redo
+      if nvm_write t ~mask:e.mask ~kind:`Redo ~line:e.line ~data:e.redo
            ~version:e.version
       then Metrics.Counter.inc t.c.c_redo_writes;
-      n + 1
+      incr n
     end
-
-let rec apply_slots cs = function
-  | [] -> ()
-  | (slot, value) :: older ->
-    apply_slots cs older;
-    cs.slot_array.(slot) <- value
-
-(* Drop [region] from a back list; it is almost always the head. *)
-let rec remove_back region = function
-  | [] -> []
-  | r :: tl -> if r == region then tl else r :: remove_back region tl
+  done;
+  !n
 
 (* Oracle-sensitivity fault injection for compaction (see [compact]):
    when armed, the physical journal reclaim runs *before* the checkpoint
@@ -676,23 +744,25 @@ let compact t cs =
 
 (* Phase 2: copy redo data of valid entries, apply checkpoint slots, update
    the resume record, and schedule the space release. *)
-let do_commit t cs region info now =
+let do_commit t cs region now =
   Metrics.Counter.inc t.c.c_commits;
-  let commit_lines = ref (commit_entries t cs now region.bentries) in
-  apply_slots cs region.bslots;
+  let commit_lines = commit_entries t cs region now in
+  for i = 0 to region.bslot_n - 1 do
+    cs.slot_array.(region.bslot_idx.(i)) <- region.bslot_val.(i)
+  done;
   (* Slot stores are adjacent 8-byte words of the per-core checkpoint
      array: they coalesce into whole-line writes (at most 4 lines for 32
      registers). They bypass the stamp machinery (the slot arrays live
      outside data memory) but still count as NVM line traffic. *)
-  let slot_lines = (List.length region.bslots + 7) / 8 in
+  let slot_lines = (region.bslot_n + 7) / 8 in
   Metrics.Counter.add t.c.c_nvm_writes_slot slot_lines;
   Metrics.Counter.add t.c.c_nvm_line_writes slot_lines;
-  commit_lines := !commit_lines + slot_lines;
+  let commit_lines = commit_lines + slot_lines in
   for _ = 1 to slot_lines do
     t.nvm_wq_free <- max t.nvm_wq_free now + t.config.Config.nvm_write_service
   done;
   Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq:region.bseq
-    ~cycle:now ~nvm_lines:!commit_lines;
+    ~cycle:now ~nvm_lines:commit_lines;
   if Capri_obs.Tracer.enabled t.obs.Obs.tracer then
     Capri_obs.Tracer.instant t.obs.Obs.tracer ~track:Capri_obs.Tracer.Proxy
       ~name:"commit" ~ts:now
@@ -700,40 +770,44 @@ let do_commit t cs region info now =
         [
           ("core", string_of_int cs.id);
           ("seq", string_of_int region.bseq);
-          ("nvm_lines", string_of_int !commit_lines);
+          ("nvm_lines", string_of_int commit_lines);
         ];
-  (match info.outs with
+  (match region.bouts with
    | [] -> ()
    | outs ->
      cs.journal <- List.rev_append (List.map (fun v -> (v, now)) outs) cs.journal;
      cs.journal_len <- cs.journal_len + List.length outs;
      compact t cs);
-  if not info.elide_resume then
-    cs.resume <-
-      (if info.resume_boundary >= 0 then
-         Resume { boundary = info.resume_boundary; sp = info.sp }
-       else Done);
+  commit_resume cs ~boundary:region.bboundary ~sp:region.bsp;
   if region.bcount > 0 then begin
     t.eserial <- t.eserial + 1;
-    Ring.push t.frees (max now t.nvm_wq_free) t.eserial (cs.id, region.bcount)
+    Ring.push t.frees (max now t.nvm_wq_free) t.eserial
+      (cs.id + (region.bcount * Array.length t.cores))
   end;
-  cs.back <- remove_back region cs.back;
-  (* Recycle the record for the next region on this core. *)
-  if cs.back_spare == dummy_back then begin
-    region.bseq <- min_int;
-    region.bentries <- [];
-    region.bcount <- 0;
-    region.bslots <- [];
-    region.bcommit <- None;
-    cs.back_spare <- region
-  end
+  remove_back cs region
 
-let deliver t core item now =
+(* File one item into its back-end region and recycle the item. A commit
+   marker only marks the region: committing it is the caller's call. *)
+let file_item cs it =
+  let r = back_region_for cs it.iseq in
+  (match it.kind with
+   | Data -> add_entry r it.entry
+   | Ckpt_flush -> add_slot r ~slot:it.slot ~value:it.value
+   | Commit ->
+     r.bcommitted <- true;
+     r.bboundary <- it.boundary;
+     r.bsp <- it.sp;
+     r.bouts <- it.outs);
+  give_item cs it;
+  r
+
+let deliver t core it now =
   let cs = t.cores.(core) in
-  match item with
-  | Data e ->
+  match it.kind with
+  | Data ->
     (* Monitoring window: a writeback that already carried data at least
        this new (same line) invalidates the arriving redo. *)
+    let e = it.entry in
     prune_window t now;
     if
       (match t.recent_wb with
@@ -746,39 +820,28 @@ let deliver t core item now =
         Metrics.Counter.inc t.c.c_window_invalidations
       end
     end;
-    let r = back_region_for cs e.seq in
-    r.bentries <- e :: r.bentries;
-    r.bcount <- r.bcount + 1;
-    (match r.bcommit with
-     | Some info -> do_commit t cs r info now  (* late entry: can't happen
-                                                  with FIFO, kept for safety *)
-     | None -> ())
-  | Ckpt_flush { seq; slot; value } ->
-    let r = back_region_for cs seq in
-    r.bslots <- (slot, value) :: r.bslots
-  | Commit { seq; info } ->
-    let r = back_region_for cs seq in
-    r.bcommit <- Some info;
-    do_commit t cs r info now
+    ignore (file_item cs it)
+  | Ckpt_flush -> ignore (file_item cs it)
+  | Commit -> do_commit t cs (file_item cs it) now
 
 (* ---------------- draining ---------------- *)
 
 let[@inline] head_drainable t cs =
   (not (Fifo.is_empty cs.front))
   &&
-  match Fifo.peek cs.front with
-  | Data _ -> cs.back_used < t.config.Config.back_proxy_entries
-  | Ckpt_flush _ | Commit _ -> true
+  match (Fifo.peek cs.front).kind with
+  | Data -> cs.back_used < t.config.Config.back_proxy_entries
+  | Ckpt_flush | Commit -> true
 
 let drain_one t cs now =
   let item = Fifo.pop cs.front in
-  (match item with
-   | Data e ->
+  (match item.kind with
+   | Data ->
      cs.front_data <- cs.front_data - 1;
      cs.back_used <- cs.back_used + 1;
      (* The entry leaves the front-end: no longer mergeable. *)
-     fi_unbind cs e
-   | Ckpt_flush _ | Commit _ -> ());
+     fi_unbind cs item.entry
+   | Ckpt_flush | Commit -> ());
   t.eserial <- t.eserial + 1;
   Ring.push cs.arrivals (now + t.config.Config.proxy_path_latency) t.eserial
     item;
@@ -786,83 +849,77 @@ let drain_one t cs now =
      lines (undo + redo), a checkpoint flush or commit marker a dozen
      bytes. *)
   let gap =
-    match item with
-    | Data _ -> t.config.Config.proxy_path_gap
-    | Ckpt_flush _ | Commit _ -> max 1 (t.config.Config.proxy_path_gap / 4)
+    match item.kind with
+    | Data -> t.config.Config.proxy_path_gap
+    | Ckpt_flush | Commit -> max 1 (t.config.Config.proxy_path_gap / 4)
   in
   cs.next_drain <- now + gap
 
-let advance_loop t ~cycle =
-  (* Interleave heap events and per-core drains in time order. Runs once
-     per proxy-path item systemwide, so it is written allocation-free:
-     [max_int] for "nothing pending", heap wins time ties, first core
-     wins drain-time ties (matching the heap's serial order and the
-     original fold's first-minimal choice). *)
-  (* Written as closure-free tail recursion with immediate-int
-     accumulators: this loop runs once per proxy-path event systemwide
-     (millions of iterations per run), and refs or [Array.iter] closures
-     allocated inside it were the single largest allocation source in the
-     whole simulator. *)
-  let ncores = Array.length t.cores in
-  (* Earliest event ring by (time, serial): returns -1 for the free ring,
-     the core id for an arrival ring — the exact pop order of the old
-     global heap, since serials are stamped at push in chronological
-     order across all rings. *)
-  let rec best_event i bt bs bi =
-    if i >= ncores then bi
+(* Earliest event ring by (time, serial) over cores [i..]: returns -1 for
+   the free ring, the core id for an arrival ring — the exact pop order
+   of the old global heap, since serials are stamped at push in
+   chronological order across all rings. *)
+let rec best_event t i bt bs bi =
+  if i >= Array.length t.cores then bi
+  else begin
+    let a = (Array.unsafe_get t.cores i).arrivals in
+    let ti = Ring.top_time a in
+    if ti < bt || (ti = bt && Ring.top_serial a < bs) then
+      best_event t (i + 1) ti (Ring.top_serial a) i
+    else best_event t (i + 1) bt bs bi
+  end
+
+(* Earliest drainable core by due time; first core wins ties (matching
+   the original fold's first-minimal choice). *)
+let rec best_drain t i bt bi =
+  if i >= Array.length t.cores then bi
+  else begin
+    let cs = Array.unsafe_get t.cores i in
+    if head_drainable t cs then begin
+      let d = if cs.next_drain > 0 then cs.next_drain else 0 in
+      if d < bt then best_drain t (i + 1) d i else best_drain t (i + 1) bt bi
+    end
+    else best_drain t (i + 1) bt bi
+  end
+
+(* Interleave ring events and per-core drains in time order: [max_int]
+   for "nothing pending", rings win time ties, first core wins drain-time
+   ties (matching the heap's serial order and the original fold's
+   first-minimal choice). This loop runs once per proxy-path event
+   systemwide, so it and its two scans are top-level functions over
+   immediate ints: a local [let rec] capturing [t] or [cycle] would be a
+   closure allocated on every call. *)
+let rec advance_loop t ~cycle =
+  let bi = best_event t 0 (Ring.top_time t.frees) (Ring.top_serial t.frees) (-1) in
+  let bt =
+    if bi < 0 then Ring.top_time t.frees
+    else Ring.top_time t.cores.(bi).arrivals
+  in
+  let di = best_drain t 0 max_int (-1) in
+  let td =
+    if di < 0 then max_int
     else begin
-      let a = (Array.unsafe_get t.cores i).arrivals in
-      let ti = Ring.top_time a in
-      if ti < bt || (ti = bt && Ring.top_serial a < bs) then
-        best_event (i + 1) ti (Ring.top_serial a) i
-      else best_event (i + 1) bt bs bi
+      let d = t.cores.(di).next_drain in
+      if d > 0 then d else 0
     end
   in
-  (* Earliest drainable core by due time; first core wins ties (matching
-     the original fold's first-minimal choice). *)
-  let rec best_drain i bt bi =
-    if i >= ncores then bi
-    else begin
-      let cs = Array.unsafe_get t.cores i in
-      if head_drainable t cs then begin
-        let d = if cs.next_drain > 0 then cs.next_drain else 0 in
-        if d < bt then best_drain (i + 1) d i else best_drain (i + 1) bt bi
-      end
-      else best_drain (i + 1) bt bi
-    end
-  in
-  let rec go () =
-    let bi = best_event 0 (Ring.top_time t.frees) (Ring.top_serial t.frees) (-1) in
-    let bt =
-      if bi < 0 then Ring.top_time t.frees
-      else Ring.top_time t.cores.(bi).arrivals
-    in
-    let di = best_drain 0 max_int (-1) in
-    let td =
-      if di < 0 then max_int
-      else begin
-        let d = t.cores.(di).next_drain in
-        if d > 0 then d else 0
-      end
-    in
-    if bt <= cycle && bt <= td then begin
-      (if bi < 0 then begin
-         let core, n = Ring.pop t.frees in
-         t.cores.(core).back_used <- t.cores.(core).back_used - n
-       end
-       else deliver t bi (Ring.pop t.cores.(bi).arrivals) bt);
-      go ()
-    end
-    else if td <= cycle then begin
-      drain_one t t.cores.(di) td;
-      go ()
-    end
-    else
-      (* The stopping iteration has the exact next internal event time in
-         hand — record it so [advance] need not rescan. *)
-      t.wake <- if bt < td then bt else td
-  in
-  go ()
+  if bt <= cycle && bt <= td then begin
+    (if bi < 0 then begin
+       let v = Ring.pop t.frees in
+       let cs = t.cores.(v mod Array.length t.cores) in
+       cs.back_used <- cs.back_used - (v / Array.length t.cores)
+     end
+     else deliver t bi (Ring.pop t.cores.(bi).arrivals) bt);
+    advance_loop t ~cycle
+  end
+  else if td <= cycle then begin
+    drain_one t t.cores.(di) td;
+    advance_loop t ~cycle
+  end
+  else
+    (* The stopping iteration has the exact next internal event time in
+       hand — record it so [advance] need not rescan. *)
+    t.wake <- if bt < td then bt else td
 
 (* Recompute the exact next internal event time. Identical to the
    next-time scan in [stall_until]: the minimum over the heap's head and
@@ -919,15 +976,15 @@ let store_conflict t ~core ~cycle ~line ~mask =
   | _ when not t.config.Config.conflict_fence -> false
   | Capri | Naive_sync | Redo_nowb ->
     advance t ~cycle;
-    (match Hashtbl.find_opt t.pending line with
-     | None -> false
-     | Some a ->
+    (match Hashtbl.find t.pending line with
+     | a ->
        let conflict = ref false in
        for c = 0 to t.config.Config.cores - 1 do
          if c <> core && a.(2 * c) > 0 && a.((2 * c) + 1) land mask <> 0 then
            conflict := true
        done;
-       !conflict)
+       !conflict
+     | exception Not_found -> false)
 
 (* ---------------- core-facing operations ---------------- *)
 
@@ -975,7 +1032,9 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
          { line; undo; redo; mask; version; valid = true; seq = cs.open_seq }
        in
        pending_inc t ~core:cs.id ~line ~mask;
-       Fifo.push cs.front (Data e);
+       let it = take_item cs Data cs.open_seq in
+       it.entry <- e;
+       Fifo.push cs.front it;
        cs.front_data <- cs.front_data + 1;
        cs.open_entries <- cs.open_entries + 1;
        fi_bind cs line e;
@@ -1036,14 +1095,16 @@ let flush_region t cs ~boundary ~sp =
     for i = 0 to cs.staged_n - 1 do
       let slot = cs.staged_order.(i) in
       Metrics.Counter.inc t.c.c_ckpt_flushes;
-      Fifo.push cs.front
-        (Ckpt_flush { seq = cs.open_seq; slot; value = cs.staged_val.(slot) })
+      let it = take_item cs Ckpt_flush cs.open_seq in
+      it.slot <- slot;
+      it.value <- cs.staged_val.(slot);
+      Fifo.push cs.front it
     done;
-    Fifo.push cs.front
-      (Commit
-         { seq = cs.open_seq;
-           info = { resume_boundary = boundary; sp; elide_resume = false;
-                    outs } });
+    let it = take_item cs Commit cs.open_seq in
+    it.boundary <- boundary;
+    it.sp <- sp;
+    it.outs <- outs;
+    Fifo.push cs.front it;
     t.wake <- min t.wake (max cs.next_drain 0)
   end
   else Metrics.Counter.inc t.c.c_boundaries_elided;
@@ -1059,7 +1120,8 @@ let flush_region t cs ~boundary ~sp =
   cs.open_seq <- cs.open_seq + 1;
   cs.open_entries <- 0
 
-let fully_drained cs = Fifo.is_empty cs.front && cs.back = [] && cs.back_used = 0
+let fully_drained cs =
+  Fifo.is_empty cs.front && cs.back_n = 0 && cs.back_used = 0
 
 let on_boundary t ~core ~cycle ~boundary ~sp =
   match t.mode with
@@ -1082,27 +1144,27 @@ let on_boundary t ~core ~cycle ~boundary ~sp =
 
 let on_writeback t ~cycle ~line ~data ~version =
   match t.mode with
-  | Volatile -> ignore (nvm_write t ~kind:`Wb ~line ~data ~version)
+  | Volatile -> ignore (nvm_write t ~mask:0xFF ~kind:`Wb ~line ~data ~version)
   | Redo_nowb ->
     (* Dirty lines are dropped: only the redo log updates NVM. *)
     ()
   | Capri | Naive_sync ->
     advance t ~cycle;
-    ignore (nvm_write t ~kind:`Wb ~line ~data ~version);
+    ignore (nvm_write t ~mask:0xFF ~kind:`Wb ~line ~data ~version);
     t.nvm_wq_free <- max t.nvm_wq_free cycle + t.config.Config.nvm_write_service;
     (* Scan the back-end proxies: invalidate overtaken redo entries. *)
     Array.iter
       (fun cs ->
-        List.iter
-          (fun r ->
-            List.iter
-              (fun e ->
-                if e.line = line && e.valid && e.version <= version then begin
-                  e.valid <- false;
-                  Metrics.Counter.inc t.c.c_scan_invalidations
-                end)
-              r.bentries)
-          cs.back)
+        for i = 0 to cs.back_n - 1 do
+          let r = cs.back.(i) in
+          for j = 0 to r.bcount - 1 do
+            let e = r.bents.(j) in
+            if e.line = line && e.valid && e.version <= version then begin
+              e.valid <- false;
+              Metrics.Counter.inc t.c.c_scan_invalidations
+            end
+          done
+        done)
       t.cores;
     (* Arm the monitoring window for in-flight entries. *)
     prune_window t cycle;
@@ -1128,7 +1190,7 @@ let on_halt t ~core ~cycle =
     flush_region t cs ~boundary:(-1) ~sp:0;
     let finish = stall_until t ~cycle (fun () -> fully_drained cs) in
     cs.halted <- true;
-    cs.resume <- Done;
+    cs.res_boundary <- res_done;
     max 0 (finish - cycle)
 
 let load_extra_latency t (level : Hierarchy.level) =
@@ -1167,25 +1229,35 @@ type rec_step =
   | P_commit of {
       redo : entry list;  (* valid entries, oldest first *)
       slots : (int * int) list;  (* oldest first *)
-      info : commit_info;
+      boundary : int;
+      sp : int;
+      outs : int list;
     }
   | P_undo of entry list  (* newest first *)
 
 let plan_core cs =
-  let regions = List.sort (fun a b -> Int.compare a.bseq b.bseq) cs.back in
+  let regions =
+    List.sort
+      (fun a b -> Int.compare a.bseq b.bseq)
+      (Array.to_list (Array.sub cs.back 0 cs.back_n))
+  in
   let drop_undo = Atomic.get fault_drop_undo in
   let steps =
     List.map
       (fun r ->
-        match r.bcommit with
-        | Some info ->
+        let entries = Array.to_list (Array.sub r.bents 0 r.bcount) in
+        if r.bcommitted then
           P_commit
             {
-              redo = List.filter (fun e -> e.valid) (List.rev r.bentries);
-              slots = List.rev r.bslots;
-              info;
+              redo = List.filter (fun e -> e.valid) entries;
+              slots =
+                List.init r.bslot_n (fun i ->
+                    (r.bslot_idx.(i), r.bslot_val.(i)));
+              boundary = r.bboundary;
+              sp = r.bsp;
+              outs = r.bouts;
             }
-        | None -> P_undo (if drop_undo then [] else r.bentries))
+        else P_undo (if drop_undo then [] else List.rev entries))
       regions
   in
   let replayed =
@@ -1203,9 +1275,9 @@ let plan_core cs =
 let crash_recover ?(jobs = 1) t ~cycle =
   advance t ~cycle;
   (* Battery drain: everything still in the front-end or on the path
-     reaches the back-end structures. [bentries]/[bslots] are reverse
-     arrival order (each drained item is prepended), so older items must
-     drain first: the in-flight ring holds items that already left the
+     reaches the back-end structures. A region's entry and slot logs are
+     in arrival order (each drained item is appended), so older items
+     must drain first: the in-flight ring holds items that already left the
      front queue, i.e. every in-flight item predates everything still in
      the front. Draining front-first would interleave one region's
      entries out of order when it spans both queues — rolled back, two
@@ -1216,36 +1288,14 @@ let crash_recover ?(jobs = 1) t ~cycle =
   Array.iter
     (fun cs ->
       while not (Ring.is_empty cs.arrivals) do
-        match Ring.pop cs.arrivals with
-        | Data e ->
-          let r = back_region_for cs e.seq in
-          r.bentries <- e :: r.bentries;
-          r.bcount <- r.bcount + 1
-        | Ckpt_flush { seq; slot; value } ->
-          let r = back_region_for cs seq in
-          r.bslots <- (slot, value) :: r.bslots
-        | Commit { seq; info } ->
-          let r = back_region_for cs seq in
-          r.bcommit <- Some info
+        ignore (file_item cs (Ring.pop cs.arrivals))
       done)
     t.cores;
   Array.iter
     (fun cs ->
-      Fifo.iter
-        (fun item ->
-          match item with
-          | Data e ->
-            let r = back_region_for cs e.seq in
-            r.bentries <- e :: r.bentries;
-            r.bcount <- r.bcount + 1
-          | Ckpt_flush { seq; slot; value } ->
-            let r = back_region_for cs seq in
-            r.bslots <- (slot, value) :: r.bslots
-          | Commit { seq; info } ->
-            let r = back_region_for cs seq in
-            r.bcommit <- Some info)
-        cs.front;
-      Fifo.clear cs.front)
+      while not (Fifo.is_empty cs.front) do
+        ignore (file_item cs (Fifo.pop cs.front))
+      done)
     t.cores;
   while not (Ring.is_empty t.frees) do
     ignore (Ring.pop t.frees)
@@ -1267,11 +1317,11 @@ let crash_recover ?(jobs = 1) t ~cycle =
       let steps, _ = plans.(i) in
       List.iter
         (function
-          | P_commit { redo; slots; info } ->
+          | P_commit { redo; slots; boundary; sp; outs } ->
             List.iter
               (fun e ->
                 ignore
-                  (nvm_write ~mask:e.mask t ~kind:`Redo ~line:e.line
+                  (nvm_write t ~mask:e.mask ~kind:`Redo ~line:e.line
                      ~data:e.redo ~version:e.version))
               redo;
             List.iter (fun (slot, value) -> cs.slot_array.(slot) <- value) slots;
@@ -1280,17 +1330,13 @@ let crash_recover ?(jobs = 1) t ~cycle =
                cycle. (No compaction here: compaction is a steady-state
                activity, not something a restart interleaves with its
                own replay.) *)
-            (match info.outs with
+            (match outs with
              | [] -> ()
              | outs ->
                cs.journal <-
                  List.rev_append (List.map (fun v -> (v, cycle)) outs) cs.journal;
                cs.journal_len <- cs.journal_len + List.length outs);
-            if not info.elide_resume then
-              if info.resume_boundary >= 0 then
-                cs.resume <-
-                  Resume { boundary = info.resume_boundary; sp = info.sp }
-              else cs.resume <- Done
+            commit_resume cs ~boundary ~sp
           | P_undo entries ->
             (* Interrupted region: roll back with undo data, newest entry
                first. Staged slots of this region are discarded. *)
@@ -1305,13 +1351,13 @@ let crash_recover ?(jobs = 1) t ~cycle =
                 done)
               entries)
         steps;
-      cs.back <- [];
+      cs.back_n <- 0;
       cs.back_used <- 0)
     t.cores;
   Hashtbl.reset t.pending;
   {
     nvm = Memory.copy t.nvm;
-    resume = Array.map (fun cs -> cs.resume) t.cores;
+    resume = Array.map resume_of t.cores;
     slots = Array.map (fun cs -> Array.copy cs.slot_array) t.cores;
     journal = Array.map (fun cs -> List.rev_map fst cs.journal) t.cores;
     acked = Array.map (fun cs -> List.rev cs.journal) t.cores;

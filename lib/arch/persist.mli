@@ -211,7 +211,8 @@ val install_line : t -> line:int -> data:int array -> version:int -> unit
 (** Loader/restart path: place a line of the initial (or recovered)
     durable image into NVM directly, in every mode. Unlike
     {!on_writeback} this is never dropped in [Redo_nowb] mode, where
-    ordinary dirty writebacks are discarded by design. *)
+    ordinary dirty writebacks are discarded by design. [data] is copied,
+    not retained. *)
 
 val on_halt : t -> core:int -> cycle:int -> int
 (** Final implicit boundary + full drain; returns stall cycles. *)
@@ -227,6 +228,11 @@ val advance : t -> cycle:int -> unit
 
 val nvm_line : t -> int -> int array
 (** Current durable contents of a line (for stale-read oracles). *)
+
+val nvm_line_equal : t -> Memory.t -> int -> bool
+(** [nvm_line_equal t memory line]: the durable line equals [memory]'s —
+    [nvm_line t line = Memory.line_snapshot memory line], compared in
+    place. The per-load stale-read check. *)
 
 val crash_recover : ?jobs:int -> t -> cycle:int -> image
 (** Power failure at [cycle]: volatile state dies, battery-backed proxy

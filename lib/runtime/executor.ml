@@ -258,7 +258,7 @@ let session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
         Persist.on_writeback persist ~cycle ~line ~data ~version)
   in
   Memory.iter_lines memory (fun l data ->
-      Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
+      Persist.install_line persist ~line:l ~data ~version:0);
   let code = Code.build program in
   let lcosts, scosts = mk_cost_tables config in
   {
@@ -399,9 +399,9 @@ let close_dyn_region s (th : thread) ~next_id =
       if th.prof_id = th.cur_region_id then th.prof_bp
       else begin
         let bp =
-          match Hashtbl.find_opt s.profile th.cur_region_id with
-          | Some bp -> bp
-          | None ->
+          match Hashtbl.find s.profile th.cur_region_id with
+          | bp -> bp
+          | exception Not_found ->
             let bp =
               { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
             in
@@ -464,10 +464,11 @@ let do_load s (th : thread) addr =
        (* Stale-read oracle: an NVM-level load must observe the latest
           data (Section 5.3); mismatches are counted (and would be real
           bugs in modes without prevention). *)
-       let line = Memory.line_of_addr addr in
-       let durable = Persist.nvm_line s.persist line in
-       let current = Memory.line_snapshot s.memory line in
-       if durable <> current then s.stale_reads <- s.stale_reads + 1
+       if
+         not
+           (Persist.nvm_line_equal s.persist s.memory
+              (Memory.line_of_addr addr))
+       then s.stale_reads <- s.stale_reads + 1
      | Hierarchy.L1 | Hierarchy.L2 | Hierarchy.Dram -> ());
     let cost = Array.unsafe_get s.lcosts (level_idx level) in
     if s.redo_extra then cost + Persist.load_extra_latency s.persist level
@@ -1021,30 +1022,33 @@ let fire_crash s crashed (th : thread) =
         outputs_before = Array.map (fun th -> List.rev th.outputs) s.threads;
       }
 
+(* The earliest-cycle runnable thread's index, -1 when all have halted;
+   the lowest index wins ties. *)
+let pick threads =
+  let best = ref (-1) and bestc = ref max_int in
+  for j = 0 to Array.length threads - 1 do
+    let th = threads.(j) in
+    if (not th.halted) && th.cycle < !bestc then begin
+      best := j;
+      bestc := th.cycle
+    end
+  done;
+  !best
+
 let run_interp ?crash_at_instr ~max_steps s =
   let crashed = ref None in
   let rec loop () =
-    (* Earliest-cycle runnable thread. *)
-    let next =
-      Array.fold_left
-        (fun acc th ->
-          if th.halted then acc
-          else
-            match acc with
-            | Some best when best.cycle <= th.cycle -> acc
-            | Some _ | None -> Some th)
-        None s.threads
-    in
-    match next with
-    | None -> ()
-    | Some th ->
-      (match crash_at_instr with
-       | Some n when s.instr_count >= n -> fire_crash s crashed th
-       | Some _ | None ->
-         th.steps <- th.steps + 1;
-         if th.steps > max_steps then livelock th;
-         step s th;
-         loop ())
+    let k = pick s.threads in
+    if k >= 0 then begin
+      let th = s.threads.(k) in
+      match crash_at_instr with
+      | Some n when s.instr_count >= n -> fire_crash s crashed th
+      | Some _ | None ->
+        th.steps <- th.steps + 1;
+        if th.steps > max_steps then livelock th;
+        step s th;
+        loop ()
+    end
   in
   loop ();
   match !crashed with Some c -> Crashed c | None -> finish s
@@ -1066,19 +1070,8 @@ let run_compiled ?crash_at_instr ~max_steps s =
     match crash_at_instr with Some n -> n | None -> max_int
   in
   let fuse = not s.fence_on in
-  let pick () =
-    let best = ref (-1) and bestc = ref max_int in
-    for j = 0 to nthreads - 1 do
-      let th = threads.(j) in
-      if (not th.halted) && th.cycle < !bestc then begin
-        best := j;
-        bestc := th.cycle
-      end
-    done;
-    !best
-  in
   let rec sched () =
-    let k = pick () in
+    let k = pick threads in
     if k >= 0 then begin
       let th = threads.(k) in
       if s.instr_count >= crash_n then fire_crash s crashed th

@@ -48,21 +48,22 @@ let test_memory_equal_diff () =
 
 let test_cache_lru () =
   let c = Cache.create ~sets:1 ~ways:2 in
-  Alcotest.(check (option unit)) "miss insert" None
-    (Option.map (fun _ -> ()) (Cache.insert c 1 ~dirty:false));
-  ignore (Cache.insert c 2 ~dirty:true);
+  Cache.insert c 1 ~dirty:false;
+  Alcotest.(check int) "miss insert" (-1) (Cache.victim c);
+  Cache.insert c 2 ~dirty:true;
   Cache.touch c 1 ~dirty:false;  (* 1 is now MRU, 2 LRU *)
-  (match Cache.insert c 3 ~dirty:false with
-   | Some { Cache.line = 2; dirty = true } -> ()
-   | Some e -> Alcotest.failf "evicted %d" e.Cache.line
-   | None -> Alcotest.fail "expected eviction");
+  Cache.insert c 3 ~dirty:false;
+  (match (Cache.victim c, Cache.victim_dirty c) with
+   | 2, true -> ()
+   | -1, _ -> Alcotest.fail "expected eviction"
+   | line, _ -> Alcotest.failf "evicted %d" line);
   Alcotest.(check bool) "1 resident" true (Cache.mem c 1);
   Alcotest.(check bool) "2 gone" false (Cache.mem c 2);
   Alcotest.(check bool) "3 resident" true (Cache.mem c 3)
 
 let test_cache_dirty_invalidate () =
   let c = Cache.create ~sets:2 ~ways:1 in
-  ignore (Cache.insert c 4 ~dirty:false);
+  Cache.insert c 4 ~dirty:false;
   Cache.touch c 4 ~dirty:true;
   Alcotest.(check bool) "dirty" true (Cache.is_dirty c 4);
   Alcotest.(check bool) "invalidate returns dirty" true (Cache.invalidate c 4);
@@ -71,14 +72,149 @@ let test_cache_dirty_invalidate () =
 
 let test_cache_set_isolation () =
   let c = Cache.create ~sets:2 ~ways:1 in
-  ignore (Cache.insert c 0 ~dirty:false);  (* set 0 *)
-  ignore (Cache.insert c 1 ~dirty:false);  (* set 1 *)
+  Cache.insert c 0 ~dirty:false;  (* set 0 *)
+  Cache.insert c 1 ~dirty:false;  (* set 1 *)
   Alcotest.(check int) "both resident" 2 (Cache.resident c);
   (* line 2 maps to set 0: evicts line 0, not line 1 *)
-  (match Cache.insert c 2 ~dirty:false with
-   | Some { Cache.line = 0; _ } -> ()
-   | _ -> Alcotest.fail "wrong victim");
+  Cache.insert c 2 ~dirty:false;
+  if Cache.victim c <> 0 then Alcotest.fail "wrong victim";
   Alcotest.(check bool) "line 1 untouched" true (Cache.mem c 1)
+
+(* Cache against a list-based reference model: random operation
+   sequences on a 2-set x 4-way cache over 12 lines. The model's
+   replacement rule is the first invalid way, else the first way with the
+   least LRU stamp; every return value, each victim's line and dirty bit,
+   and the final stats and contents must match. *)
+type cache_op =
+  | Insert of int * bool
+  | Touch of int * bool
+  | Touch_if_present of int * bool
+  | Invalidate of int
+  | Mem of int
+  | Is_dirty of int
+
+let show_cache_op = function
+  | Insert (l, d) -> Printf.sprintf "insert %d %b" l d
+  | Touch (l, d) -> Printf.sprintf "touch %d %b" l d
+  | Touch_if_present (l, d) -> Printf.sprintf "touch? %d %b" l d
+  | Invalidate l -> Printf.sprintf "invalidate %d" l
+  | Mem l -> Printf.sprintf "mem %d" l
+  | Is_dirty l -> Printf.sprintf "dirty? %d" l
+
+let cache_ops_arb =
+  let open QCheck.Gen in
+  let line = int_bound 11 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun l d -> Insert (l, d)) line bool);
+        (2, map2 (fun l d -> Touch (l, d)) line bool);
+        (3, map2 (fun l d -> Touch_if_present (l, d)) line bool);
+        (2, map (fun l -> Invalidate l) line);
+        (1, map (fun l -> Mem l) line);
+        (1, map (fun l -> Is_dirty l) line);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
+    (list_size (int_range 1 80) op)
+
+(* One way of the model: [mline = -1] is invalid. *)
+type mway = { mline : int; mdirty : bool; mlru : int }
+
+let model_victim ways =
+  let indexed = List.mapi (fun i w -> (i, w)) ways in
+  match List.find_opt (fun (_, w) -> w.mline = -1) indexed with
+  | Some (i, _) -> i
+  | None ->
+    fst
+      (List.fold_left
+         (fun (bi, bw) (i, w) -> if w.mlru < bw.mlru then (i, w) else (bi, bw))
+         (List.hd indexed) indexed)
+
+let prop_cache_model =
+  QCheck.Test.make ~count:300 ~name:"cache == list model" cache_ops_arb
+    (fun ops ->
+      let c = Cache.create ~sets:2 ~ways:4 in
+      let sets =
+        Array.make 2 (List.init 4 (fun _ -> { mline = -1; mdirty = false; mlru = 0 }))
+      in
+      let tick = ref 0 and ins = ref 0 and ev = ref 0 and dev = ref 0 in
+      let find l = List.find_opt (fun w -> w.mline = l) sets.(l land 1) in
+      let update l f =
+        sets.(l land 1) <-
+          List.map (fun w -> if w.mline = l then f w else w) sets.(l land 1)
+      in
+      let touch l d =
+        incr tick;
+        update l (fun w -> { w with mdirty = w.mdirty || d; mlru = !tick })
+      in
+      let fail op what =
+        QCheck.Test.fail_reportf "%s: %s" (show_cache_op op) what
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Insert (l, d) ->
+            if find l = None then begin
+              Cache.insert c l ~dirty:d;
+              incr tick;
+              incr ins;
+              let v = model_victim sets.(l land 1) in
+              let old = List.nth sets.(l land 1) v in
+              if old.mline <> -1 then begin
+                incr ev;
+                if old.mdirty then incr dev
+              end;
+              sets.(l land 1) <-
+                List.mapi
+                  (fun i w ->
+                    if i = v then { mline = l; mdirty = d; mlru = !tick } else w)
+                  sets.(l land 1);
+              if Cache.victim c <> old.mline then
+                fail op (Printf.sprintf "victim %d, model %d" (Cache.victim c) old.mline);
+              if Cache.victim_dirty c <> (old.mline <> -1 && old.mdirty) then
+                fail op "victim dirty bit"
+            end
+          | Touch (l, d) -> (
+            match find l with
+            | Some _ ->
+              Cache.touch c l ~dirty:d;
+              touch l d
+            | None -> (
+              match Cache.touch c l ~dirty:d with
+              | () -> fail op "touched an absent line"
+              | exception Invalid_argument _ -> ()))
+          | Touch_if_present (l, d) ->
+            let present = find l <> None in
+            if Cache.touch_if_present c l ~dirty:d <> present then
+              fail op "residency";
+            if present then touch l d
+          | Invalidate l ->
+            let expect =
+              match find l with Some w -> w.mdirty | None -> false
+            in
+            if Cache.invalidate c l <> expect then fail op "dirty result";
+            update l (fun _ -> { mline = -1; mdirty = false; mlru = 0 })
+          | Mem l -> if Cache.mem c l <> (find l <> None) then fail op "mem"
+          | Is_dirty l ->
+            let expect =
+              match find l with Some w -> w.mdirty | None -> false
+            in
+            if Cache.is_dirty c l <> expect then fail op "is_dirty")
+        ops;
+      let all = List.concat (Array.to_list sets) in
+      let valid = List.filter (fun w -> w.mline <> -1) all in
+      let st = Cache.stats c in
+      st.Cache.insertions = !ins
+      && st.Cache.evictions = !ev
+      && st.Cache.dirty_evictions = !dev
+      && Cache.resident c = List.length valid
+      && List.sort compare (Cache.dirty_lines c)
+         = List.sort compare
+             (List.filter_map
+                (fun w -> if w.mdirty then Some w.mline else None)
+                valid))
 
 let mk_hier ?(cores = 2) () =
   let config =
@@ -274,4 +410,5 @@ let suite =
       test_writeback_carries_current_data;
     Alcotest.test_case "flush and drop" `Quick test_flush_then_drop_empty;
     Alcotest.test_case "eviction cascade" `Quick test_eviction_cascade;
+    QCheck_alcotest.to_alcotest prop_cache_model;
   ]

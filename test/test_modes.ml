@@ -120,6 +120,57 @@ let test_modes_crash_recovery_capri_only () =
        | Persist.Done | Persist.Never_started -> false)
   | Executor.Finished _ -> Alcotest.fail "expected crash"
 
+(* Stale-read oracle sensitivity. Redo-only mode drops dirty writebacks,
+   so a line stored inside a still-open region, pushed out of every cache
+   level and loaded back before the region commits is read from a stale
+   NVM copy: the oracle must count it. The uncompiled program is one
+   region (no boundaries) that stores to 16 consecutive lines through
+   2-line caches, then reloads the first. Both engines must agree. *)
+let stale_src =
+  "program (main = main)\n\n\
+   func main (entry entry):\n\
+   entry:\n\
+  \  r1 = mov 65536\n\
+  \  r2 = mov 16\n\
+   jump loop\n\
+   loop:\n\
+  \  store [r1 + 0], r2\n\
+  \  r1 = add r1, 8\n\
+  \  r2 = sub r2, 1\n\
+  \  branch r2 ? loop : done\n\
+   done:\n\
+  \  r3 = load [r1 + -128]\n\
+  \  out r3\n\
+  \  halt\n"
+
+let test_stale_read_oracle_fires () =
+  let program =
+    match Parser.parse stale_src with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse: %a" Parser.pp_error e
+  in
+  let config =
+    { Config.sim_default with
+      Config.l1_lines = 2; l1_ways = 2; l2_lines = 2; l2_ways = 2;
+      dram_cache_lines = 2 }
+  in
+  let stale engine =
+    let session =
+      Executor.start ~config ~mode:Persist.Redo_nowb ~engine ~program
+        ~threads:[ Executor.main_thread program ] ()
+    in
+    match Executor.run session with
+    | Executor.Crashed _ -> Alcotest.fail "unexpected crash"
+    | Executor.Finished r ->
+      Alcotest.(check (list (list int))) "reloaded value" [ [ 16 ] ]
+        (Array.to_list r.Executor.outputs);
+      r.Executor.stale_reads
+  in
+  let interp = stale Executor.Interp in
+  Alcotest.(check bool) (Printf.sprintf "stale reads counted (%d)" interp)
+    true (interp > 0);
+  Alcotest.(check int) "engines agree" interp (stale Executor.Compiled)
+
 let suite =
   suite
   @ [
@@ -127,4 +178,6 @@ let suite =
         test_redo_mode_content_path;
       Alcotest.test_case "crash image sanity" `Quick
         test_modes_crash_recovery_capri_only;
+      Alcotest.test_case "stale-read oracle fires" `Quick
+        test_stale_read_oracle_fires;
     ]

@@ -216,6 +216,60 @@ let test_halt_commits_in_background () =
    | Persist.Resume _ | Persist.Never_started ->
      Alcotest.fail "halted core should be Done")
 
+(* The stale-read oracle's in-place line compare agrees with comparing
+   fresh snapshots, on present, absent, one-word-different and
+   negative-address lines: through the engine's NVM image, and on two
+   plain memories (the engine's NVM stamps cover non-negative lines
+   only, so negative lines present on both sides are checked there). *)
+let test_nvm_line_equal () =
+  let t = mk () in
+  let mem = Memory.create () in
+  let words f = Array.init 8 f in
+  let both line data =
+    Persist.install_line t ~line ~data ~version:0;
+    Memory.write_line mem line (Array.copy data)
+  in
+  both 3 (words (fun i -> i + 1));
+  both 4 (words (fun i -> 10 * i));
+  Memory.write mem (Memory.addr_of_line 4 + 5) 99;
+  Memory.write mem (Memory.addr_of_line 600) 1;
+  Memory.write mem (Memory.addr_of_line 601) 0;
+  Memory.write mem (Memory.addr_of_line (-2)) 5;
+  Memory.write mem (Memory.addr_of_line (-3) + 7) 0;
+  List.iter
+    (fun (line, expect) ->
+      let name = Printf.sprintf "nvm line %d" line in
+      Alcotest.(check bool) (name ^ " vs snapshots")
+        (Persist.nvm_line t line = Memory.line_snapshot mem line)
+        (Persist.nvm_line_equal t mem line);
+      Alcotest.(check bool) name expect (Persist.nvm_line_equal t mem line))
+    [
+      (3, true);  (* present, equal *)
+      (4, false);  (* one word different *)
+      (5, true);  (* unwritten neighbour in present pages *)
+      (100, true);  (* absent from both *)
+      (600, false);  (* absent from NVM, written in memory *)
+      (601, true);  (* absent from NVM, zero written in memory *)
+      (-2, false);  (* negative, absent from NVM, written in memory *)
+      (-3, true);  (* negative, zero written in memory *)
+    ];
+  let a = Memory.create () and b = Memory.create () in
+  List.iter
+    (fun line ->
+      Memory.write_line a line (words (fun i -> line + i));
+      Memory.write_line b line (words (fun i -> line + i)))
+    [ -1; -2; -300; 7 ];
+  Memory.write b (Memory.addr_of_line (-2) + 3) 0;
+  Memory.write a (Memory.addr_of_line (-300)) (-1);
+  List.iter
+    (fun (line, expect) ->
+      let name = Printf.sprintf "memory line %d" line in
+      Alcotest.(check bool) (name ^ " vs snapshots")
+        (Memory.line_snapshot a line = Memory.line_snapshot b line)
+        (Memory.line_equal a b line);
+      Alcotest.(check bool) name expect (Memory.line_equal a b line))
+    [ (-1, true); (-2, false); (-300, false); (7, true); (-5000, true) ]
+
 let suite =
   [
     Alcotest.test_case "merge within region" `Quick test_merge_within_region;
@@ -243,4 +297,5 @@ let suite =
     Alcotest.test_case "multi-core isolation" `Quick test_multi_core_isolation;
     Alcotest.test_case "halt commits in background" `Quick
       test_halt_commits_in_background;
+    Alcotest.test_case "nvm line compare in place" `Quick test_nvm_line_equal;
   ]
