@@ -33,6 +33,14 @@ val write_line_masked : t -> int -> int array -> int -> unit
     word offset [o]); used for word-granular redo/undo application. *)
 
 val copy : t -> t
+(** Copy-on-write copy: shares every page with [t] and costs only the
+    two page tables. The first write to a shared page, through either
+    memory, clones that one page for the writer; the other memory never
+    sees it. Do not write a memory while another domain copies it. *)
+
+val present_lines : t -> int
+(** Number of present (ever-written) lines. *)
+
 val iter_lines : t -> (int -> int array -> unit) -> unit
 val equal : ?from:int -> t -> t -> bool
 (** Line-wise equality, treating absent lines as zero. [from] restricts

@@ -223,14 +223,13 @@ let test_halt_commits_in_background () =
    only, so negative lines present on both sides are checked there). *)
 let test_nvm_line_equal () =
   let t = mk () in
-  let mem = Memory.create () in
+  let image = Memory.create () in
   let words f = Array.init 8 f in
-  let both line data =
-    Persist.install_line t ~line ~data ~version:0;
-    Memory.write_line mem line (Array.copy data)
-  in
-  both 3 (words (fun i -> i + 1));
-  both 4 (words (fun i -> 10 * i));
+  Memory.write_line image 3 (words (fun i -> i + 1));
+  Memory.write_line image 4 (words (fun i -> 10 * i));
+  Persist.seed_nvm t image;
+  (* [mem] shares its pages with the engine's NVM until it writes *)
+  let mem = Memory.copy image in
   Memory.write mem (Memory.addr_of_line 4 + 5) 99;
   Memory.write mem (Memory.addr_of_line 600) 1;
   Memory.write mem (Memory.addr_of_line 601) 0;
