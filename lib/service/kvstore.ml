@@ -1042,20 +1042,23 @@ let thread_specs t =
         })
     @ coord_thread
 
+(* Linear probe from the key's home slot: the stored value, -1 when the
+   key is absent or deleted. Top-level, so a full-table scan allocates
+   nothing. *)
+let rec probe mem table cap key slot steps =
+  if steps >= cap then -1
+  else
+    let k = Arch.Memory.read mem (table + (slot * 2)) in
+    if k = key then Arch.Memory.read mem (table + (slot * 2) + 1)
+    else if k = 0 then -1
+    else probe mem table cap key ((slot + 1) mod cap) (steps + 1)
+
+let lookup_raw t mem ~shard ~key =
+  probe mem t.tables.(shard) t.capacity key (key mod t.capacity) 0
+
 let lookup t mem ~shard ~key =
-  let table = t.tables.(shard) in
-  let cap = t.capacity in
-  let rec go slot steps =
-    if steps >= cap then None
-    else
-      let k = Arch.Memory.read mem (table + (slot * 2)) in
-      if k = key then
-        let v = Arch.Memory.read mem (table + (slot * 2) + 1) in
-        if v = -1 then None else Some v
-      else if k = 0 then None
-      else go ((slot + 1) mod cap) (steps + 1)
-  in
-  go (key mod cap) 0
+  let v = lookup_raw t mem ~shard ~key in
+  if v = -1 then None else Some v
 
 let ctrl_decision t mem ~tid =
   Arch.Memory.read mem (t.ctrl + ((tid - 1) * t.txn_stride))

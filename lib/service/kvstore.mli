@@ -130,8 +130,12 @@ val thread_specs : t -> Capri_runtime.Executor.thread_spec list
     parameterized via argument registers. *)
 
 val lookup : t -> Capri_arch.Memory.t -> shard:int -> key:int -> int option
-(** Host-side probe of a shard's table in a memory image (used by the
-    durability oracle against recovered NVM). *)
+(** Host-side probe of a shard's table in a memory image. *)
+
+val lookup_raw : t -> Capri_arch.Memory.t -> shard:int -> key:int -> int
+(** {!lookup} without the option: the value, or -1 when the key is
+    absent or deleted. Allocates nothing; the durability oracle scans
+    recovered NVM with it. *)
 
 val ctrl_decision : t -> Capri_arch.Memory.t -> tid:int -> int
 (** The txn's durable decision word: 0 undecided, 1 commit, 2 abort. *)
