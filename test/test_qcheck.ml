@@ -261,6 +261,114 @@ let prop_memory_model =
        Memory.write c a (Memory.read c a + 1);
        Memory.read m a = model_read a))
 
+(* Copy-on-write pages stay isolated. Memories: an original, its copy
+   and a copy of the copy take interleaved plain, whole-line and masked
+   line writes over shared pages, and each must read back exactly its
+   own word map. Sessions: two resumes from one crash image finish
+   identically, and the image's memory still equals a deep snapshot
+   taken before either ran. *)
+let prop_copy_isolation =
+  QCheck.Test.make ~count:40 ~name:"memory copies are isolated" seed_gen
+    (fun seed ->
+      let lw = Capri_arch.Config.line_words in
+      let state = ref (seed + 7) in
+      let next () =
+        state := (!state * 48271 + 11) land 0x3fff_ffff;
+        !state
+      in
+      let addr () = (next () mod (64 * lw)) - (32 * lw) in
+      (* three holders, created as the ops go: [m], then [copy m], then
+         [copy (copy m)], each starting from its source's word map *)
+      let mems = Array.make 3 (Memory.create ()) in
+      let models = Array.init 3 (fun _ -> Hashtbl.create 64) in
+      let live = ref 1 in
+      let write_model i a v = Hashtbl.replace models.(i) a v in
+      for step = 1 to 300 do
+        if (step = 60 || step = 120) && !live < 3 then begin
+          mems.(!live) <- Memory.copy mems.(!live - 1);
+          Hashtbl.iter (write_model !live) models.(!live - 1);
+          incr live
+        end;
+        let i = next () mod !live in
+        let m = mems.(i) in
+        match next () mod 3 with
+        | 0 ->
+          let a = addr () and v = next () in
+          Memory.write m a v;
+          write_model i a v
+        | 1 ->
+          let l = Memory.line_of_addr (addr ()) in
+          let data = Array.init lw (fun _ -> next ()) in
+          Memory.write_line m l data;
+          Array.iteri (fun o v -> write_model i (Memory.addr_of_line l + o) v)
+            data
+        | _ ->
+          let l = Memory.line_of_addr (addr ()) in
+          let data = Array.init lw (fun _ -> next ()) in
+          let mask = next () land ((1 lsl lw) - 1) in
+          Memory.write_line_masked m l data mask;
+          Array.iteri
+            (fun o v ->
+              if mask land (1 lsl o) <> 0 then
+                write_model i (Memory.addr_of_line l + o) v)
+            data
+      done;
+      for i = 0 to !live - 1 do
+        for a = -32 * lw to (32 * lw) - 1 do
+          let want =
+            Option.value ~default:0 (Hashtbl.find_opt models.(i) a)
+          in
+          if Memory.read mems.(i) a <> want then
+            QCheck.Test.fail_reportf "seed %d: holder %d addr %d: %d, model %d"
+              seed i a (Memory.read mems.(i) a) want
+        done
+      done;
+      let program = Capri_workloads.Gen.program_of_seed seed in
+      let compiled = Pipeline.compile (crash_options_of_seed seed) program in
+      let threads = [ Executor.main_thread compiled.Compiled.program ] in
+      let total = (Verify.reference compiled).Executor.instrs in
+      let session =
+        Executor.start ~program:compiled.Compiled.program ~threads ()
+      in
+      match
+        Executor.run ~crash_at_instr:(1 + (seed mod Int.max 1 (total - 1)))
+          session
+      with
+      | Executor.Finished _ -> true
+      | Executor.Crashed crash ->
+        let image = crash.Executor.image in
+        ignore (Recovery.apply_recovery_blocks_per_core compiled image);
+        let deep = Hashtbl.create 64 in
+        Memory.iter_lines image.Persist.nvm (fun l data ->
+            Hashtbl.replace deep l
+              (Memory.line_version image.Persist.nvm l, data));
+        let finish () =
+          match
+            Executor.run (Executor.resume ~compiled ~image ~threads ())
+          with
+          | Executor.Finished r -> r
+          | Executor.Crashed _ -> assert false
+        in
+        let a = finish () in
+        let b = finish () in
+        let nvm = image.Persist.nvm in
+        if
+          not
+            (Memory.equal a.Executor.memory b.Executor.memory
+            && a.Executor.final_regs = b.Executor.final_regs
+            && a.Executor.outputs = b.Executor.outputs
+            && a.Executor.cycles = b.Executor.cycles
+            && a.Executor.persist_stats = b.Executor.persist_stats)
+        then QCheck.Test.fail_reportf "seed %d: resumes differ" seed
+        else
+          Memory.present_lines nvm = Hashtbl.length deep
+          && Hashtbl.fold
+               (fun l (version, data) ok ->
+                 ok
+                 && Memory.line_version nvm l = version
+                 && Memory.line_snapshot nvm l = data)
+               deep true)
+
 (* The parser round-trips every compiled artifact. *)
 let prop_parser_round_trip =
   QCheck.Test.make ~count:40 ~name:"parser round-trips compiled programs"
@@ -348,5 +456,5 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_journal_exactly_once; prop_pgo_preserves; prop_memory_model;
-        prop_parser_round_trip; prop_series_merge_laws;
+        prop_copy_isolation; prop_parser_round_trip; prop_series_merge_laws;
       ]
