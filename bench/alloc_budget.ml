@@ -10,13 +10,27 @@
    words per instruction here; without them 0.88, nearly all of it proxy
    entries (two line copies and a record, 28 words each: the model's
    data) and the compiled tier's per-session closures. The budget is
-   that measurement plus 20%. Raise it only with a CHANGES.md line that
-   explains why. Runs as part of `dune runtest`. *)
+   that measurement plus 20%. Copy-on-write memory pages later moved
+   each page's first-write clone into the run (0.90). Raise a budget
+   only with a CHANGES.md line that explains why.
+
+   A second budget holds restarts to page-table copies. On a store
+   bulk-loaded with 10^5 keys it counts every word allocated, minor and
+   major, by [Executor.start], one crash (the run up to it, recovery,
+   recovery-block replay) and [Executor.resume], and divides by the
+   present lines of the crash image. Copying the durable image at the
+   crash, at the resume and again into each session's NVM cost 77.2
+   words per line; sharing copy-on-write pages costs 14.1, most of it
+   the loader's pages. The budget is that measurement plus 20%.
+
+   Runs as part of `dune runtest`. *)
 
 open Capri
 module W = Capri_workloads
+module Svc = Capri_service
 
 let budget_words_per_instr = 1.06
+let budget_restart_words_per_line = 16.9
 
 let runs =
   [
@@ -44,6 +58,41 @@ let measure (name, fence) =
   in
   (Gc.minor_words () -. before, instrs)
 
+(* Words allocated, minor plus major, by one store's start, crash and
+   resume, and the present lines of its crash image. *)
+let restart () =
+  let keys = 100_000 in
+  let workload =
+    Svc.Client.generate
+      { Svc.Client.default with Svc.Client.mix = Svc.Client.B;
+        key_space = keys; ops_per_shard = 200 }
+      ~shards:1
+  in
+  let kv =
+    Svc.Kvstore.build
+      ~preload:(Svc.Kvstore.synthetic_preload ~shards:1 ~keys)
+      ~key_space:keys ~requests:workload.Svc.Client.requests ()
+  in
+  let compiled = compile kv.Svc.Kvstore.program in
+  let threads = Svc.Kvstore.thread_specs kv in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = allocated () in
+  let session =
+    Executor.start ~journal_io:true ~program:compiled.Compiled.program
+      ~threads ()
+  in
+  let image =
+    match Executor.run ~crash_at_instr:2_000 session with
+    | Executor.Crashed c -> c.Executor.image
+    | Executor.Finished _ -> assert false
+  in
+  ignore (Recovery.apply_recovery_blocks_per_core compiled image);
+  ignore (Executor.resume ~journal_io:true ~compiled ~image ~threads ());
+  (allocated () -. before, Memory.present_lines image.Persist.nvm)
+
 let () =
   let words, instrs =
     List.fold_left
@@ -57,7 +106,16 @@ let () =
   let per_instr = words /. float_of_int instrs in
   Printf.printf "alloc-budget: %.0f words over %d instrs = %.3f words/instr \
                  (budget %.2f)\n" words instrs per_instr budget_words_per_instr;
-  if per_instr > budget_words_per_instr then begin
-    prerr_endline "alloc-budget: over budget";
-    exit 1
-  end
+  let rwords, lines = restart () in
+  let per_line = rwords /. float_of_int lines in
+  Printf.printf "alloc-budget: restart %.0f words over %d lines = %.2f \
+                 words/line (budget %.2f)\n" rwords lines per_line
+    budget_restart_words_per_line;
+  if per_instr > budget_words_per_instr then
+    prerr_endline "alloc-budget: simulator step over budget";
+  if per_line > budget_restart_words_per_line then
+    prerr_endline "alloc-budget: restart over budget";
+  if
+    per_instr > budget_words_per_instr
+    || per_line > budget_restart_words_per_line
+  then exit 1
