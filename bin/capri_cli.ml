@@ -287,9 +287,10 @@ let trace_cmd =
     let k = find_kernel name scale in
     let options = Options.with_threshold threshold Options.default in
     let compiled = Pipeline.compile options k.W.Kernel.program in
-    let tr = Trace.create () in
-    ignore (Verify.reference ~trace:tr ~threads:k.W.Kernel.threads compiled);
-    print_string (Trace.render tr)
+    let log = Capri_obs.Profiler.create () in
+    let obs = { Capri_obs.Obs.null with regions = log } in
+    ignore (Verify.reference ~obs ~threads:k.W.Kernel.threads compiled);
+    print_string (Capri_obs.Profiler.render_timeline log)
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Show the dynamic region timeline of a kernel")

@@ -42,11 +42,11 @@ let () =
   print_newline ();
   (* Dynamic region timeline under the full optimization set. *)
   let compiled = Pipeline.compile Options.all_opts kernel.W.Kernel.program in
-  let tr = Trace.create () in
-  ignore
-    (Verify.reference ~trace:tr ~threads:kernel.W.Kernel.threads compiled);
+  let log = Capri_obs.Profiler.create () in
+  let obs = { Capri_obs.Obs.null with regions = log } in
+  ignore (Verify.reference ~obs ~threads:kernel.W.Kernel.threads compiled);
   print_endline "dynamic region timeline (all optimizations):";
-  print_string (Trace.render ~max_rows:24 tr);
+  print_string (Capri_obs.Profiler.render_timeline ~max_rows:24 log);
   print_newline ();
   (* Show the compiled IR of the smallest configuration for reading. *)
   let compiled = Pipeline.compile Options.up_to_ckpt kernel.W.Kernel.program in

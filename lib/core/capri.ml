@@ -20,7 +20,6 @@ module Persist = Capri_arch.Persist
 module Hierarchy = Capri_arch.Hierarchy
 module Executor = Capri_runtime.Executor
 module Profile = Capri_runtime.Profile
-module Trace = Capri_runtime.Trace
 module Recovery = Capri_runtime.Recovery
 module Verify = Capri_runtime.Verify
 

@@ -14,7 +14,6 @@
    replay of the first, including repeated crashes of the same region. *)
 
 module Executor = Capri_runtime.Executor
-module Trace = Capri_runtime.Trace
 module Verify = Capri_runtime.Verify
 
 type info = {
@@ -23,12 +22,13 @@ type info = {
 }
 
 let observe ?config ?threads compiled =
-  let trace = Trace.create () in
-  let reference = Verify.reference ?config ~trace ?threads compiled in
+  let log = Capri_obs.Profiler.create () in
+  let obs = { Capri_obs.Obs.null with regions = log } in
+  let reference = Verify.reference ?config ~obs ?threads compiled in
   let info =
     {
       total = reference.Executor.instrs;
-      boundaries = Trace.boundary_instrs trace;
+      boundaries = Capri_obs.Profiler.boundary_instrs log;
     }
   in
   (reference, info)

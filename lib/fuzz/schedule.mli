@@ -16,8 +16,9 @@ val observe :
   ?threads:Capri_runtime.Executor.thread_spec list ->
   Capri_compiler.Compiled.t ->
   Capri_runtime.Executor.result * info
-(** One traced crash-free reference run (Capri mode): the result doubles
-    as the oracle's reference, the trace yields boundary indices. *)
+(** One crash-free reference run (Capri mode) with the region profiler
+    on: the result doubles as the oracle's reference, the profiler's
+    region log yields boundary indices. *)
 
 val enumerate : ?max_schedules:int -> info -> int list list
 (** Deterministic schedule list: crash points at every region-boundary

@@ -20,7 +20,6 @@
 
 module Arch = Capri_arch
 module Rng = Capri_util.Rng
-module Runtime = Capri_runtime
 module Svc = Capri_service
 module Pipeline = Capri_compiler.Pipeline
 
@@ -366,9 +365,8 @@ let run_trial cfg k =
              and the traced reference the crash points are aimed from *)
           incr checks;
           let obs = Capri_obs.Obs.create () in
-          let trace = Runtime.Trace.create () in
           let reference =
-            match Svc.Server.trial ~obs ~trace t with
+            match Svc.Server.trial ~obs t with
             | _, outcome -> (
               match judge t obs outcome with
               | None -> Ok outcome
@@ -400,7 +398,8 @@ let run_trial cfg k =
               reference.Svc.Server.result.Capri_runtime.Executor.instrs
             in
             let boundaries =
-              Array.of_list (Runtime.Trace.boundary_instrs trace)
+              Array.of_list
+                (Capri_obs.Profiler.boundary_instrs obs.Capri_obs.Obs.regions)
             in
             let schedule () =
               let crashes = 1 + Rng.int rng 3 in

@@ -1,56 +1,59 @@
-(* Region profiler: per-dynamic-region records joined from two sources.
+(* Region profiler: the region log. One row per boundary crossing or
+   halt, joined from two sources.
 
-   The executor owns one side — when it closes a dynamic region it knows
-   the core, the static region identity, the store/checkpoint-store
-   counts and the stall cycles accumulated inside the region. Persist
-   owns the other — the proxy commits the region asynchronously and only
-   it knows the commit cycle and how many NVM lines the commit wrote.
-   The two sides join on (core, seq), where seq mirrors Persist's
-   per-core open_seq: both sides count every region close on the core,
-   including elided ones, so the keys stay aligned even when a region
-   never reaches the proxy.
+   The executor owns one side — at each crossing it knows the core, the
+   crossed boundary, the global instruction index and the costs of the
+   region the crossing ends (static identity, instructions, stores,
+   checkpoint stores, stall cycles). Persist owns the other — the proxy
+   commits the region asynchronously and only it knows the commit cycle
+   and how many NVM lines the commit wrote. The two sides join on
+   (core, seq), where seq mirrors Persist's per-core open_seq: both sides
+   count every crossing on the core, including elided ones, so the keys
+   stay aligned even when a region never reaches the proxy. The executor
+   writes the row before it hands the crossing to Persist, so every
+   commit report finds its row.
 
-   Records are only ever touched from the core's own domain (the
-   simulator runs one session per domain), so plain Hashtbl mutation is
-   fine, and aggregation sorts before rendering so output is
-   deterministic. *)
+   A thread's first crossing closes nothing (no region was open); its
+   row has [closes = false] and the close-only folds below skip it.
+
+   Rows are only ever touched from the core's own domain (the simulator
+   runs one session per domain), so plain Hashtbl mutation is fine, and
+   aggregation sorts before rendering so output is deterministic. *)
 
 type record = {
   core : int;
   seq : int;
+  boundary : int;
+  instr : int;
+  closes : bool;
   region : string;
+  instrs : int;
   stores : int;
   ckpt_stores : int;
-  stall_cycles : int;
+  mutable stall_cycles : int;
   close_cycle : int;
   mutable commit_cycle : int; (* -1 until the proxy reports the commit *)
   mutable nvm_lines : int;
 }
 
-type t = {
-  enabled : bool;
-  records : (int * int, record) Hashtbl.t;
-  (* Commits can outrun closes in principle (the proxy path reports as
-     soon as slots drain); stash early arrivals and join on close. *)
-  pending_commits : (int * int, int * int) Hashtbl.t;
-}
+type t = { enabled : bool; rows : (int * int, record) Hashtbl.t }
 
-let create () =
-  { enabled = true; records = Hashtbl.create 256; pending_commits = Hashtbl.create 16 }
-
-let null =
-  { enabled = false; records = Hashtbl.create 0; pending_commits = Hashtbl.create 0 }
-
+let create () = { enabled = true; rows = Hashtbl.create 256 }
+let null = { enabled = false; rows = Hashtbl.create 0 }
 let enabled t = t.enabled
 
-let on_region_close t ~core ~seq ~region ~stores ~ckpt_stores ~stall_cycles
-    ~cycle =
-  if t.enabled then begin
-    let r =
+let on_region_close t ~core ~seq ~boundary ~instr ~closes ~region ~instrs
+    ~stores ~ckpt_stores ~stall_cycles ~cycle =
+  if t.enabled then
+    Hashtbl.replace t.rows (core, seq)
       {
         core;
         seq;
+        boundary;
+        instr;
+        closes;
         region;
+        instrs;
         stores;
         ckpt_stores;
         stall_cycles;
@@ -58,30 +61,63 @@ let on_region_close t ~core ~seq ~region ~stores ~ckpt_stores ~stall_cycles
         commit_cycle = -1;
         nvm_lines = 0;
       }
-    in
-    (match Hashtbl.find_opt t.pending_commits (core, seq) with
-    | Some (cycle, lines) ->
-      r.commit_cycle <- cycle;
-      r.nvm_lines <- lines;
-      Hashtbl.remove t.pending_commits (core, seq)
-    | None -> ());
-    Hashtbl.replace t.records (core, seq) r
-  end
+
+let add_stall t ~core ~seq stall =
+  match Hashtbl.find_opt t.rows (core, seq) with
+  | Some r -> r.stall_cycles <- r.stall_cycles + stall
+  | None -> ()
 
 let on_commit t ~core ~seq ~cycle ~nvm_lines =
   if t.enabled then
-    match Hashtbl.find_opt t.records (core, seq) with
+    match Hashtbl.find_opt t.rows (core, seq) with
     | Some r ->
       r.commit_cycle <- cycle;
       r.nvm_lines <- r.nvm_lines + nvm_lines
-    | None -> Hashtbl.replace t.pending_commits (core, seq) (cycle, nvm_lines)
+    | None -> ()
+
+let sorted t cmp =
+  List.sort cmp (Hashtbl.fold (fun _ r acc -> r :: acc) t.rows [])
 
 let records t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.records []
-  |> List.sort (fun a b ->
-         match Int.compare a.core b.core with
-         | 0 -> Int.compare a.seq b.seq
-         | c -> c)
+  sorted t (fun a b ->
+      match Int.compare a.core b.core with
+      | 0 -> Int.compare a.seq b.seq
+      | c -> c)
+  |> List.filter (fun r -> r.closes)
+
+let crossings t = sorted t (fun a b -> Int.compare a.instr b.instr)
+
+let boundary_instrs t =
+  List.filter_map
+    (fun r -> if r.boundary >= 0 then Some r.instr else None)
+    (crossings t)
+
+let render_timeline ?(max_rows = 64) t =
+  let rows = crossings t in
+  let total = List.length rows in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "cycle      core  event\n";
+  List.iteri
+    (fun i r ->
+      if total > max_rows && i >= max_rows / 2 && i < total - (max_rows / 2)
+      then begin
+        if i = max_rows / 2 then
+          Buffer.add_string buf
+            (Printf.sprintf "  ... %d events elided ...\n" (total - max_rows))
+      end
+      else if r.boundary >= 0 then
+        Buffer.add_string buf
+          (Printf.sprintf
+             "%-10d %-5d boundary #%d (region closed with %d stores, instr %d)\n"
+             r.close_cycle r.core r.boundary r.stores r.instr)
+      else
+        Buffer.add_string buf
+          (Printf.sprintf "%-10d %-5d halt\n" r.close_cycle r.core))
+    rows;
+  if total > max_rows then
+    Buffer.add_string buf
+      (Printf.sprintf "… (+%d more rows)\n" (total - max_rows));
+  Buffer.contents buf
 
 (* ---------------- aggregation ---------------- *)
 
@@ -137,8 +173,8 @@ let aggregate t =
 (* "Hot" orders by where the persistence cost lands: stall cycles first,
    then NVM traffic, then store volume; name breaks ties so the table is
    stable across runs. *)
-let hottest t ~n =
-  aggregate t
+let hottest_of aggs ~n =
+  aggs
   |> List.sort (fun a b ->
          match Int.compare b.total_stall_cycles a.total_stall_cycles with
          | 0 -> (
@@ -151,8 +187,11 @@ let hottest t ~n =
          | c -> c)
   |> List.filteri (fun i _ -> i < n)
 
+let hottest t ~n = hottest_of (aggregate t) ~n
+
 let render_top t ~n =
-  let rows = hottest t ~n in
+  let aggs = aggregate t in
+  let rows = hottest_of aggs ~n in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%-28s %6s %9s %7s %9s %9s %9s\n" "region" "execs"
@@ -167,7 +206,7 @@ let render_top t ~n =
            a.total_stores a.total_ckpt_stores a.total_stall_cycles avg_latency
            a.total_nvm_lines))
     rows;
-  let total = List.length (aggregate t) in
+  let total = List.length aggs in
   if total > List.length rows then
     Buffer.add_string buf
       (Printf.sprintf "… (+%d more regions)\n" (total - List.length rows));

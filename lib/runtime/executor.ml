@@ -127,7 +127,6 @@ type session = {
       (* domain-pool width for the per-core planning half of
          {!Persist.crash_recover}; the recovered image is byte-identical
          at any value (the repo's determinism contract) *)
-  trace : Trace.t option;
   program : Program.t;
   code : Code.t;
       (* per-session resolved code: sessions over distinct programs (even
@@ -246,7 +245,7 @@ let entry_boundary_id program fname =
    its function's entry. [start] and [resume] differ only in the memory
    they pass and in how they place threads and seed the durable per-core
    records afterwards. *)
-let session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
+let session ~config ~mode ~journal_io ~recovery_jobs ~obs
     ~check_threshold ~engine ~program ~memory threads =
   let engine = match engine with Some e -> e | None -> !default_engine in
   let config =
@@ -266,7 +265,6 @@ let session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
     config;
     journal_io;
     recovery_jobs;
-    trace;
     program;
     code;
     memory;
@@ -293,14 +291,14 @@ let session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
   }
 
 let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
     ?check_threshold ?engine ~program ~threads () =
   (* The data segment is durable before execution starts (the loader
      wrote it). *)
   let memory = Memory.create () in
   load_data program memory;
   let s =
-    session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
+    session ~config ~mode ~journal_io ~recovery_jobs ~obs
       ~check_threshold ~engine ~program ~memory threads
   in
   (* The loader also durably records each thread's initial context, so a
@@ -314,13 +312,13 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
   s
 
 let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
     ?check_threshold ?engine ~(compiled : Capri_compiler.Compiled.t)
     ~(image : Persist.image) ~threads () =
   let program = compiled.Capri_compiler.Compiled.program in
   (* NVM of the new engine = the recovered image. *)
   let s =
-    session ~config ~mode ~journal_io ~recovery_jobs ~trace ~obs
+    session ~config ~mode ~journal_io ~recovery_jobs ~obs
       ~check_threshold ~engine ~program
       ~memory:(Memory.copy image.Persist.nvm) threads
   in
@@ -387,45 +385,6 @@ let fence_store s (th : thread) addr =
          ~line:(Memory.line_of_addr addr) ~mask:(word_bit addr)
   then raise Retry_conflict
 
-let close_dyn_region s (th : thread) ~next_id =
-  if th.in_region then begin
-    (match s.check_threshold with
-     | Some limit when th.cur_region_stores > limit ->
-       failwith
-         (Printf.sprintf
-            "region store threshold violated: %d > %d (core %d)"
-            th.cur_region_stores limit th.core)
-     | Some _ | None -> ());
-    let bp =
-      if th.prof_id = th.cur_region_id then th.prof_bp
-      else begin
-        let bp =
-          match Hashtbl.find s.profile th.cur_region_id with
-          | bp -> bp
-          | exception Not_found ->
-            let bp =
-              { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
-            in
-            Hashtbl.replace s.profile th.cur_region_id bp;
-            bp
-        in
-        th.prof_id <- th.cur_region_id;
-        th.prof_bp <- bp;
-        bp
-      end
-    in
-    bp.instances <- bp.instances + 1;
-    bp.p_instrs <- bp.p_instrs + th.cur_region_instrs;
-    bp.p_stores <- bp.p_stores + th.cur_region_stores;
-    bp.p_max_stores <- Int.max bp.p_max_stores th.cur_region_stores
-  end;
-  th.cur_region_instrs <- 0;
-  th.cur_region_stores <- 0;
-  th.cur_region_ckpts <- 0;
-  th.cur_region_stall <- 0;
-  th.cur_region_id <- next_id;
-  th.in_region <- true
-
 let region_name id = if id < 0 then "entry" else "b" ^ string_of_int id
 
 (* One architectural store: functional update, word-delta hand-off to the
@@ -480,84 +439,103 @@ let goto s (th : thread) idx =
   th.cur_idx <- idx;
   th.index <- 0
 
-(* Region boundary and halt bookkeeping, shared verbatim by both engines
-   (these are the cold paths — the compiled tier only specializes the
-   dispatch around them). Neither touches [payload_count]; the callers
-   account it. Both return the cycle cost. *)
-let exec_boundary s (th : thread) ~id =
-  s.boundary_count <- s.boundary_count + 1;
-  (match s.trace with
-   | Some tr ->
-     Trace.record tr
-       (Trace.Boundary
-          { core = th.core; boundary = id; cycle = th.cycle;
-            stores = th.cur_region_stores; instr = s.instr_count })
-   | None -> ());
-  (* Capture the closing region's costs before the reset; the profiler
-     record goes out after Persist flushes so the boundary stall (sync
-     modes) is attributed to the region it closes. *)
-  let closing = th.in_region in
+(* The one place a dynamic region ends: a crossing of boundary
+   [next_id], or the thread's halt when [next_id] is -1. Shared verbatim
+   by both engines (a cold path — the compiled tier only specializes the
+   dispatch around it) and by boundaries and halts: the threshold check,
+   the per-boundary profile row, the seq bump, one region-log row, the
+   Persist hand-off and the region's trace spans, in that order. The log
+   row goes out before Persist so a commit Persist reports from inside
+   the call (the synchronous modes drain at the boundary) finds it; the
+   boundary stall, known only afterwards, is added to the row then. Does
+   not touch [payload_count]; the callers account it. Returns the cycle
+   cost. *)
+let end_region s (th : thread) ~next_id =
+  let halt = next_id < 0 in
+  if not halt then s.boundary_count <- s.boundary_count + 1;
+  let closes = th.in_region in
   let closing_id = th.cur_region_id in
   let stores = th.cur_region_stores in
-  let ckpts = th.cur_region_ckpts in
-  let store_stall = th.cur_region_stall in
-  close_dyn_region s th ~next_id:id;
-  let stall =
-    Persist.on_boundary s.persist ~core:th.core ~cycle:th.cycle ~boundary:id
-      ~sp:th.regs.(sp_idx)
-  in
+  if closes then begin
+    (match s.check_threshold with
+     | Some limit when stores > limit ->
+       failwith
+         (Printf.sprintf
+            "region store threshold violated: %d > %d (core %d)" stores
+            limit th.core)
+     | Some _ | None -> ());
+    let bp =
+      if th.prof_id = closing_id then th.prof_bp
+      else begin
+        let bp =
+          match Hashtbl.find s.profile closing_id with
+          | bp -> bp
+          | exception Not_found ->
+            let bp =
+              { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
+            in
+            Hashtbl.replace s.profile closing_id bp;
+            bp
+        in
+        th.prof_id <- closing_id;
+        th.prof_bp <- bp;
+        bp
+      end
+    in
+    bp.instances <- bp.instances + 1;
+    bp.p_instrs <- bp.p_instrs + th.cur_region_instrs;
+    bp.p_stores <- bp.p_stores + stores;
+    bp.p_max_stores <- Int.max bp.p_max_stores stores
+  end;
   let seq = th.region_seq in
   th.region_seq <- seq + 1;
-  if closing && Profiler.enabled s.obs.Obs.regions then
-    Profiler.on_region_close s.obs.Obs.regions ~core:th.core ~seq
-      ~region:(region_name closing_id) ~stores ~ckpt_stores:ckpts
-      ~stall_cycles:(store_stall + stall) ~cycle:th.cycle;
+  let log = s.obs.Obs.regions in
+  let logged = Profiler.enabled log in
+  if logged then
+    Profiler.on_region_close log ~core:th.core ~seq ~boundary:next_id
+      ~instr:s.instr_count ~closes ~region:(region_name closing_id)
+      ~instrs:th.cur_region_instrs ~stores
+      ~ckpt_stores:
+        (if halt then th.cur_region_ckpts + Array.length th.regs
+         else th.cur_region_ckpts)
+      ~stall_cycles:th.cur_region_stall ~cycle:th.cycle;
+  th.cur_region_instrs <- 0;
+  th.cur_region_stores <- 0;
+  th.cur_region_ckpts <- 0;
+  th.cur_region_stall <- 0;
+  th.cur_region_id <- next_id;
+  th.in_region <- not halt;
+  let stall =
+    if halt then begin
+      (* Stage the full architected register file with the final region:
+         its commit makes the finished thread's context durable, so a
+         crash after this core halts (while others still run) can
+         restore the exact final registers instead of reporting a zeroed
+         file. *)
+      Array.iteri
+        (fun slot value -> Persist.on_ckpt s.persist ~core:th.core ~slot ~value)
+        th.regs;
+      Persist.on_halt s.persist ~core:th.core ~cycle:th.cycle
+    end
+    else
+      Persist.on_boundary s.persist ~core:th.core ~cycle:th.cycle
+        ~boundary:next_id ~sp:th.regs.(sp_idx)
+  in
+  if logged && stall > 0 then Profiler.add_stall log ~core:th.core ~seq stall;
   let tr = s.obs.Obs.tracer in
   if Tracer.enabled tr then begin
     let track = Tracer.Core th.core in
-    if closing then Tracer.end_span tr ~track ~ts:th.cycle;
-    Tracer.begin_span tr ~track ~name:(region_name id) ~ts:th.cycle;
-    if stall > 0 then begin
-      Tracer.begin_span tr ~track ~name:"boundary-stall" ~ts:th.cycle;
-      Tracer.end_span tr ~track ~ts:(th.cycle + stall)
+    if closes then Tracer.end_span tr ~track ~ts:th.cycle;
+    if halt then Tracer.instant tr ~track ~name:"halt" ~ts:th.cycle
+    else begin
+      Tracer.begin_span tr ~track ~name:(region_name next_id) ~ts:th.cycle;
+      if stall > 0 then begin
+        Tracer.begin_span tr ~track ~name:"boundary-stall" ~ts:th.cycle;
+        Tracer.end_span tr ~track ~ts:(th.cycle + stall)
+      end
     end
   end;
-  1 + stall
-
-let exec_halt s (th : thread) =
-  (match s.trace with
-   | Some tr ->
-     Trace.record tr (Trace.Halted { core = th.core; cycle = th.cycle })
-   | None -> ());
-  let closing = th.in_region in
-  let closing_id = th.cur_region_id in
-  let stores = th.cur_region_stores in
-  let ckpts = th.cur_region_ckpts in
-  let store_stall = th.cur_region_stall in
-  close_dyn_region s th ~next_id:(-1);
-  th.in_region <- false;
-  (* Stage the full architected register file with the final region:
-     its commit makes the finished thread's context durable, so a crash
-     after this core halts (while others still run) can restore the
-     exact final registers instead of reporting a zeroed file. *)
-  Array.iteri
-    (fun slot value -> Persist.on_ckpt s.persist ~core:th.core ~slot ~value)
-    th.regs;
-  let stall = Persist.on_halt s.persist ~core:th.core ~cycle:th.cycle in
-  let seq = th.region_seq in
-  th.region_seq <- seq + 1;
-  if closing && Profiler.enabled s.obs.Obs.regions then
-    Profiler.on_region_close s.obs.Obs.regions ~core:th.core ~seq
-      ~region:(region_name closing_id) ~stores
-      ~ckpt_stores:(ckpts + Array.length th.regs)
-      ~stall_cycles:(store_stall + stall) ~cycle:th.cycle;
-  let tr = s.obs.Obs.tracer in
-  if Tracer.enabled tr then begin
-    let track = Tracer.Core th.core in
-    if closing then Tracer.end_span tr ~track ~ts:th.cycle;
-    Tracer.instant tr ~track ~name:"halt" ~ts:th.cycle
-  end;
-  th.halted <- true;
+  th.halted <- halt;
   1 + stall
 
 let exec_instr s (th : thread) (i : Instr.t) =
@@ -608,7 +586,7 @@ let exec_instr s (th : thread) (i : Instr.t) =
     1
   | Instr.Boundary { id } ->
     s.payload_count <- s.payload_count - 1;
-    exec_boundary s th ~id
+    end_region s th ~next_id:id
   | Instr.Ckpt { reg; slot } ->
     s.payload_count <- s.payload_count - 1;
     s.ckpt_count <- s.ckpt_count + 1;
@@ -643,7 +621,7 @@ let exec_term s (th : thread) =
     th.regs.(sp_idx) <- sp + 1;
     goto s th (Code.index_of_addr s.code ret_addr);
     1 + cost
-  | Code.Halt -> exec_halt s th
+  | Code.Halt -> end_region s th ~next_id:(-1)
 
 let step s (th : thread) =
   s.instr_count <- s.instr_count + 1;
@@ -849,7 +827,7 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
         th.outputs <- v :: th.outputs;
         th.out_cycles <- (v, th.cycle) :: th.out_cycles;
         1
-  | Code.Dboundary { id } -> fun th -> exec_boundary s th ~id
+  | Code.Dboundary { id } -> fun th -> end_region s th ~next_id:id
   | Code.Dckpt { reg; slot } ->
     fun th ->
       s.ckpt_count <- s.ckpt_count + 1;
@@ -904,7 +882,7 @@ let lower_term s ~len (d : Code.dterm) : thread -> int =
       1 + cost
   | Code.Dhalt ->
     fun th ->
-      let cost = exec_halt s th in
+      let cost = end_region s th ~next_id:(-1) in
       (* Park the halted thread at its terminator, exactly where the
          interpreter leaves it (visible through [positions]). *)
       th.index <- len;
@@ -1002,9 +980,6 @@ let livelock (th : thread) =
          steps = th.steps })
 
 let fire_crash s crashed (th : thread) =
-  (match s.trace with
-   | Some tr -> Trace.record tr (Trace.Crashed { cycle = th.cycle })
-   | None -> ());
   if Tracer.enabled s.obs.Obs.tracer then begin
     Tracer.instant s.obs.Obs.tracer ~track:Tracer.Proxy ~name:"crash"
       ~ts:th.cycle

@@ -96,7 +96,7 @@ type session
 
 val start :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?trace:Trace.t -> ?obs:Capri_obs.Obs.t ->
+  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
   ?check_threshold:int -> ?engine:engine -> program:Program.t ->
   threads:thread_spec list -> unit -> session
 (** Fresh machine: zeroed memory (plus the program's data image), cold
@@ -112,12 +112,12 @@ val start :
     register in its metrics registry, every dynamic region opens a span
     on its core's trace track (with nested boundary-stall spans in the
     synchronous modes), fences/atomics/halts/crashes emit instant
-    events, and the region profiler receives one record per closed
-    region, joined with Persist's commit reports by (core, seq). *)
+    events, and the region profiler logs one row per boundary crossing
+    or halt, joined with Persist's commit reports by (core, seq). *)
 
 val resume :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?trace:Trace.t -> ?obs:Capri_obs.Obs.t ->
+  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
   ?check_threshold:int -> ?engine:engine ->
   compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image ->
   threads:thread_spec list -> unit -> session

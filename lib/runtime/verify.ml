@@ -21,7 +21,7 @@ let threshold_of (compiled : Compiled.t) =
    crash and the per-core block counts, and resume from the recovered
    image. The empty schedule is the crash-free run. *)
 let run_with_crashes ?(config = Arch.Config.sim_default)
-    ?(mode = Arch.Persist.Capri) ?journal_io ?recovery_jobs ?obs ?trace
+    ?(mode = Arch.Persist.Capri) ?journal_io ?recovery_jobs ?obs
     ?threads ?(on_recover = fun _ _ -> ()) ~crash_at compiled =
   let threads =
     match threads with Some t -> t | None -> default_threads compiled
@@ -71,21 +71,21 @@ let run_with_crashes ?(config = Arch.Config.sim_default)
         blocks := !blocks + Array.fold_left ( + ) 0 per_core;
         on_recover crash per_core;
         go
-          (Executor.resume ~config ~mode ?journal_io ?recovery_jobs ?trace
-             ?obs ~check_threshold ~compiled ~image ~threads ())
+          (Executor.resume ~config ~mode ?journal_io ?recovery_jobs ?obs
+             ~check_threshold ~compiled ~image ~threads ())
           rest)
   in
   let result =
     go
-      (Executor.start ~config ~mode ?journal_io ?recovery_jobs ?trace ?obs
+      (Executor.start ~config ~mode ?journal_io ?recovery_jobs ?obs
          ~check_threshold ~program:compiled.Compiled.program ~threads ())
       crash_at
   in
   (result, !recoveries, !blocks)
 
-let reference ?config ?mode ?journal_io ?obs ?trace ?threads compiled =
+let reference ?config ?mode ?journal_io ?obs ?threads compiled =
   let result, _, _ =
-    run_with_crashes ?config ?mode ?journal_io ?obs ?trace ?threads
+    run_with_crashes ?config ?mode ?journal_io ?obs ?threads
       ~crash_at:[] compiled
   in
   result

@@ -24,7 +24,7 @@ type failure = {
 
 val run_with_crashes :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t -> ?trace:Trace.t ->
+  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
   ?threads:Executor.thread_spec list ->
   ?on_recover:(Executor.crash -> int array -> unit) ->
   crash_at:int list -> Capri_compiler.Compiled.t ->
@@ -36,7 +36,7 @@ val run_with_crashes :
 
     [mode] selects the persistence design point under test (default
     [Capri]; [Volatile] is not crash-recoverable and makes no sense
-    here). [journal_io], [obs] and [trace] go to every session the loop
+    here). [journal_io] and [obs] go to every session the loop
     starts or resumes; [recovery_jobs] also sets the pool width of the
     recovery-block replay. [on_recover] is called once per fired crash,
     after recovery-block replay and before the resume, with the crash
@@ -45,13 +45,12 @@ val run_with_crashes :
 
 val reference :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?obs:Capri_obs.Obs.t -> ?trace:Trace.t ->
-  ?threads:Executor.thread_spec list ->
+  ?obs:Capri_obs.Obs.t -> ?threads:Executor.thread_spec list ->
   Capri_compiler.Compiled.t -> Executor.result
 (** [run_with_crashes ~crash_at:[]]: the crash-free run (default mode:
-    [Capri]). Pass a [trace] to record the boundary timeline — the
-    fuzzer's schedule enumeration reads boundary instruction indices
-    from it. *)
+    [Capri]). Pass an [obs] with an enabled region profiler to log the
+    boundary timeline — the fuzzer's schedule enumeration reads boundary
+    instruction indices from it. *)
 
 val check_equivalence :
   reference:Executor.result -> candidate:Executor.result ->

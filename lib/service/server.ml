@@ -536,7 +536,7 @@ let instrument obs t outcome =
       served
   end
 
-let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
+let run ?(obs = Obs.null) ?(crash_at = []) t =
   let cfg = t.cfg in
   if cfg.mode = Arch.Persist.Volatile && crash_at <> [] then
     invalid_arg "Server.run: a volatile store cannot recover from a crash";
@@ -590,7 +590,7 @@ let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
   in
   let result, recoveries, blocks_total =
     Runtime.Verify.run_with_crashes ~config:cfg.config ~mode:cfg.mode
-      ~journal_io:true ~recovery_jobs:cfg.recovery_jobs ~obs ?trace
+      ~journal_io:true ~recovery_jobs:cfg.recovery_jobs ~obs
       ~threads:(Kvstore.thread_specs t.kv) ~on_recover ~crash_at t.compiled
   in
   absorb result.Executor.acks;
@@ -616,17 +616,17 @@ let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
 
 let even k total = List.init k (fun _ -> max 1 (total / (k + 1)))
 
-let trial ?obs ?trace ?crash_at t =
+let trial ?obs ?crash_at t =
   match crash_at with
   | Some schedule when Arch.Persist.recoverable t.cfg.mode -> (
     (* crash points count instructions per segment, so they come from a
        crash-free reference run of the same plan *)
     let reference = run t in
     match schedule reference.result.Executor.instrs with
-    | [] when obs = None && trace = None -> (reference, reference)
-    | crash_at -> (reference, run ?obs ?trace ~crash_at t))
+    | [] when obs = None -> (reference, reference)
+    | crash_at -> (reference, run ?obs ~crash_at t))
   | _ ->
-    let outcome = run ?obs ?trace t in
+    let outcome = run ?obs t in
     (outcome, outcome)
 
 let check t outcome =

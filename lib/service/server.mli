@@ -129,7 +129,6 @@ type outcome = {
 
 val run :
   ?obs:Capri_obs.Obs.t ->
-  ?trace:Capri_runtime.Trace.t ->
   ?crash_at:int list ->
   t ->
   outcome
@@ -137,11 +136,11 @@ val run :
     own segment (first entry in the fresh run, second after the first
     recovery, ...), as in {!Capri_runtime.Verify.run_with_crashes}. The
     run always completes: after the schedule is exhausted the final
-    segment drains every remaining request. [trace] records region
-    boundary events across every segment (the fuzz campaign uses a
-    crash-free traced run to aim crash points at 2PC phases). With an
-    enabled [obs], per-request ack instants land on each core's trace
-    track ([txn_commit]/[txn_abort] instants on the coordinator's), each
+    segment drains every remaining request. With an enabled [obs], the
+    region profiler logs every boundary crossing (the fuzz campaign aims
+    crash points at 2PC phases from a crash-free run's log), per-request
+    ack instants land on each core's trace track
+    ([txn_commit]/[txn_abort] instants on the coordinator's), each
     served request gets a lifecycle span (admission, batch enqueue,
     proxy commit, ack; 2PC outcomes carry prepare/decision instants and
     link to their item spans by tid) on the core's
@@ -159,7 +158,6 @@ val run :
 
 val trial :
   ?obs:Capri_obs.Obs.t ->
-  ?trace:Capri_runtime.Trace.t ->
   ?crash_at:(int -> int list) ->
   t ->
   outcome * outcome
@@ -168,7 +166,7 @@ val trial :
     to the crash schedule handed to {!run}. The reference runs only when
     a schedule is requested and the mode is
     {!Capri_arch.Persist.recoverable}; otherwise (a [Volatile] store
-    always runs crash-free) one run, observed by [obs] and [trace], is
+    always runs crash-free) one run, observed by [obs], is
     returned as both. The reference itself is never observed, and an
     empty schedule reuses it as the outcome when nothing observes. *)
 

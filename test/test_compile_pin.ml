@@ -144,4 +144,53 @@ let test_pinned () =
       Alcotest.(check string) name want got)
     expected (rows ())
 
-let suite = [ Alcotest.test_case "compiled output pinned" `Quick test_pinned ]
+(* Pinned region logs, read the two ways the tools read them: the
+   `capri trace` timeline text (scale 6, threshold 256) and the boundary
+   instruction indices Schedule.observe hands the fuzzer (scale 6,
+   Options.default), as an md5 of the comma-joined list. *)
+let trace_text name =
+  let k = W.Suite.by_name ~scale:6 name in
+  let compiled =
+    Pipeline.compile (Options.with_threshold 256 Options.default)
+      k.W.Kernel.program
+  in
+  let log = Capri_obs.Profiler.create () in
+  ignore
+    (Capri_runtime.Verify.reference
+       ~obs:{ Capri_obs.Obs.null with regions = log }
+       ~threads:k.W.Kernel.threads compiled);
+  Digest.to_hex (Digest.string (Capri_obs.Profiler.render_timeline log))
+
+let observed name =
+  let k = W.Suite.by_name ~scale:6 name in
+  let compiled = Pipeline.compile Options.default k.W.Kernel.program in
+  let _, info =
+    Capri_fuzz.Schedule.observe ~threads:k.W.Kernel.threads compiled
+  in
+  let b = info.Capri_fuzz.Schedule.boundaries in
+  Printf.sprintf "n=%d %s" (List.length b)
+    (Digest.to_hex
+       (Digest.string (String.concat "," (List.map string_of_int b))))
+
+let test_region_log_pinned () =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) ("trace " ^ name) want (trace_text name))
+    [
+      ("505.mcf_r", "764b098b973546305a06621af4a58910");
+      ("ocean", "d72ff56e68698cfab25b09ce1a7fcc14");
+      ("intruder", "68252cf729a4b38ff98f452b9c145f1d");
+    ];
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) ("observe " ^ name) want (observed name))
+    [
+      ("505.mcf_r", "n=82 20523c8410e11c40f3d1b60d2674fa3f");
+      ("ocean", "n=124 61b7c96b96a374c05711d73dbe8aa448");
+    ]
+
+let suite =
+  [
+    Alcotest.test_case "compiled output pinned" `Quick test_pinned;
+    Alcotest.test_case "region log pinned" `Quick test_region_log_pinned;
+  ]

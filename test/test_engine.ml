@@ -20,14 +20,26 @@ let options_of_seed seed =
   let options = Opt.with_threshold threshold options in
   if options.Opt.ckpt then options else { options with Opt.ckpt = true }
 
+(* A session that logs its region crossings: [run_logged] returns the
+   outcome with the profiler's full row list (every field, the commit
+   join included), which the engines must agree on as well. *)
+let logged () =
+  let log = Capri_obs.Profiler.create () in
+  ({ Capri_obs.Obs.null with regions = log }, log)
+
+let run_logged ?crash_at_instr ?max_steps log session =
+  let outcome = Executor.run ?crash_at_instr ?max_steps session in
+  (outcome, Capri_obs.Profiler.crossings log)
+
 let run_engine ?config ?(mode = Persist.Capri) ?crash_at_instr ?max_steps
     ~engine (compiled : Compiled.t) threads =
+  let obs, log = logged () in
   let session =
-    Executor.start ?config ~mode ~engine
+    Executor.start ?config ~mode ~engine ~obs
       ~check_threshold:compiled.Compiled.options.Opt.threshold
       ~program:compiled.Compiled.program ~threads ()
   in
-  Executor.run ?crash_at_instr ?max_steps session
+  run_logged ?crash_at_instr ?max_steps log session
 
 (* Canonical view of the per-boundary profile: hashtable bucket layout
    may differ, bindings may not. *)
@@ -41,8 +53,9 @@ let profile_list (p : (int, Executor.boundary_profile) Hashtbl.t) =
   |> List.sort compare
 
 (* Field-by-field identity between an interpreter result [a] and a
-   compiled-tier result [b]. *)
-let check_same ctx (a : Executor.result) (b : Executor.result) =
+   compiled-tier result [b], each with its region log. *)
+let check_same ctx ((a : Executor.result), log_a) ((b : Executor.result), log_b)
+    =
   let ck name = Alcotest.(check int) (ctx ^ ": " ^ name) in
   ck "cycles" a.Executor.cycles b.Executor.cycles;
   ck "instrs" a.Executor.instrs b.Executor.instrs;
@@ -59,11 +72,13 @@ let check_same ctx (a : Executor.result) (b : Executor.result) =
   cb "final_regs" a.Executor.final_regs b.Executor.final_regs;
   cb "persist_stats" a.Executor.persist_stats b.Executor.persist_stats;
   cb "hier_stats" a.Executor.hier_stats b.Executor.hier_stats;
+  cb "region log" log_a log_b;
   Alcotest.(check bool)
     (ctx ^ ": memory") true
     (Memory.equal a.Executor.memory b.Executor.memory)
 
-let check_same_crash ctx (a : Executor.crash) (b : Executor.crash) =
+let check_same_crash ctx ((a : Executor.crash), log_a)
+    ((b : Executor.crash), log_b) =
   let ck name = Alcotest.(check int) (ctx ^ ": " ^ name) in
   ck "at_instr" a.Executor.at_instr b.Executor.at_instr;
   ck "at_cycle" a.Executor.at_cycle b.Executor.at_cycle;
@@ -74,17 +89,18 @@ let check_same_crash ctx (a : Executor.crash) (b : Executor.crash) =
   cb "image.slots" ia.Persist.slots ib.Persist.slots;
   cb "image.journal" ia.Persist.journal ib.Persist.journal;
   cb "image.acked" ia.Persist.acked ib.Persist.acked;
+  cb "region log" log_a log_b;
   Alcotest.(check bool)
     (ctx ^ ": image.nvm") true
     (Memory.equal ia.Persist.nvm ib.Persist.nvm)
 
 let finished ctx = function
-  | Executor.Finished r -> r
-  | Executor.Crashed _ -> Alcotest.fail (ctx ^ ": unexpected crash")
+  | Executor.Finished r, log -> (r, log)
+  | Executor.Crashed _, _ -> Alcotest.fail (ctx ^ ": unexpected crash")
 
 let crashed ctx = function
-  | Executor.Crashed c -> c
-  | Executor.Finished _ -> Alcotest.fail (ctx ^ ": expected a crash")
+  | Executor.Crashed c, log -> (c, log)
+  | Executor.Finished _, _ -> Alcotest.fail (ctx ^ ": expected a crash")
 
 (* Crash-free identity across every persistence mode, single core. *)
 let test_differential_modes () =
@@ -171,7 +187,7 @@ let test_crash_image_identity () =
       let program = Gen.program_of_seed seed in
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let threads = [ Executor.main_thread program ] in
-      let reference =
+      let reference, _ =
         finished "ref" (run_engine ~engine:Executor.Compiled compiled threads)
       in
       let total = reference.Executor.instrs in
@@ -206,7 +222,7 @@ let test_crash_recovery_identity () =
       let program = Gen.program_of_seed seed in
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let threads = [ Executor.main_thread program ] in
-      let reference =
+      let reference, _ =
         finished "ref" (run_engine ~engine:Executor.Compiled compiled threads)
       in
       let total = reference.Executor.instrs in
@@ -215,15 +231,19 @@ let test_crash_recovery_identity () =
           Printf.sprintf "seed %d crash@%d %s" seed at
             (Executor.engine_name engine)
         in
-        let c = crashed ctx (run_engine ~crash_at_instr:at ~engine compiled threads) in
+        let c, crash_log =
+          crashed ctx (run_engine ~crash_at_instr:at ~engine compiled threads)
+        in
         ignore
           (Recovery.apply_recovery_blocks_per_core compiled c.Executor.image);
+        let obs, log = logged () in
         let session =
-          Executor.resume ~engine ~compiled ~image:c.Executor.image ~threads ()
+          Executor.resume ~engine ~obs ~compiled ~image:c.Executor.image
+            ~threads ()
         in
-        let r = finished ctx (Executor.run session) in
+        let r, resumed_log = finished ctx (run_logged log session) in
         (* outputs emitted before the crash already left the machine *)
-        ( r,
+        ( (r, (crash_log, resumed_log)),
           {
             r with
             Executor.outputs =
@@ -278,7 +298,7 @@ let test_livelock_structured () =
     with
     | exception Executor.Livelock { core; region; steps } ->
       (core, region, steps)
-    | Executor.Finished _ | Executor.Crashed _ ->
+    | (Executor.Finished _ | Executor.Crashed _), _ ->
       Alcotest.fail
         (Executor.engine_name engine ^ ": expected Livelock")
   in
@@ -388,7 +408,7 @@ let prop_engines_agree =
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let threads = [ Executor.main_thread program ] in
       let run ?crash_at_instr ~mode engine =
-        run_engine ~mode ?crash_at_instr ~engine compiled threads
+        fst (run_engine ~mode ?crash_at_instr ~engine compiled threads)
       in
       (* crash-free identity in every mode *)
       List.iter

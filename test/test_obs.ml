@@ -245,21 +245,50 @@ let test_series_merge_and_json () =
 
 let test_profiler_joins () =
   let p = Profiler.create () in
-  (* commit may arrive before the close (async proxy) or after *)
-  Profiler.on_commit p ~core:0 ~seq:0 ~cycle:40 ~nvm_lines:3;
-  Profiler.on_region_close p ~core:0 ~seq:0 ~region:"b0" ~stores:5
-    ~ckpt_stores:2 ~stall_cycles:1 ~cycle:30;
-  Profiler.on_region_close p ~core:0 ~seq:1 ~region:"b0" ~stores:7
-    ~ckpt_stores:0 ~stall_cycles:0 ~cycle:60;
-  Profiler.on_commit p ~core:0 ~seq:1 ~cycle:70 ~nvm_lines:4;
-  Profiler.on_region_close p ~core:1 ~seq:0 ~region:"b1" ~stores:1
-    ~ckpt_stores:0 ~stall_cycles:9 ~cycle:10;
+  let instr = ref 0 in
+  let cross ?(closes = true) ~core ~seq ~region ~stores ~ckpt_stores
+      ~stall_cycles ~cycle () =
+    incr instr;
+    Profiler.on_region_close p ~core ~seq ~boundary:0 ~instr:!instr ~closes
+      ~region ~instrs:1 ~stores ~ckpt_stores ~stall_cycles ~cycle
+  in
+  (* each core's first crossing closes nothing; its commit still joins *)
+  cross ~closes:false ~core:0 ~seq:0 ~region:"entry" ~stores:0
+    ~ckpt_stores:0 ~stall_cycles:0 ~cycle:0 ();
+  Profiler.on_commit p ~core:0 ~seq:0 ~cycle:5 ~nvm_lines:1;
+  (* the row is written before Persist sees the crossing, so a commit
+     reported inside that call (synchronous drain) joins at once, and
+     the boundary stall is added afterwards *)
+  cross ~core:0 ~seq:1 ~region:"b0" ~stores:5 ~ckpt_stores:2
+    ~stall_cycles:1 ~cycle:30 ();
+  Profiler.on_commit p ~core:0 ~seq:1 ~cycle:40 ~nvm_lines:3;
+  cross ~closes:false ~core:1 ~seq:0 ~region:"entry" ~stores:0
+    ~ckpt_stores:0 ~stall_cycles:0 ~cycle:0 ();
+  cross ~core:0 ~seq:2 ~region:"b0" ~stores:7 ~ckpt_stores:0
+    ~stall_cycles:0 ~cycle:60 ();
+  Profiler.on_commit p ~core:0 ~seq:2 ~cycle:70 ~nvm_lines:4;
+  cross ~core:1 ~seq:1 ~region:"b1" ~stores:1 ~ckpt_stores:0
+    ~stall_cycles:0 ~cycle:10 ();
+  Profiler.add_stall p ~core:1 ~seq:1 9;
+  (* a commit with no row is dropped *)
+  Profiler.on_commit p ~core:1 ~seq:7 ~cycle:99 ~nvm_lines:5;
+  (match Profiler.crossings p with
+   | first :: _ as rows ->
+     Alcotest.(check int) "one row per crossing" 5 (List.length rows);
+     Alcotest.(check bool) "first crossing closes nothing" false
+       first.Profiler.closes;
+     Alcotest.(check int) "first crossing's commit joined" 5
+       first.Profiler.commit_cycle
+   | [] -> Alcotest.fail "no crossings");
   (match Profiler.records p with
    | [ r1; r2; r3 ] ->
-     Alcotest.(check (pair int int)) "sorted" (0, 0) (r1.Profiler.core, r1.Profiler.seq);
-     Alcotest.(check int) "early commit joined" 40 r1.Profiler.commit_cycle;
+     Alcotest.(check (pair int int)) "sorted" (0, 1) (r1.Profiler.core, r1.Profiler.seq);
+     Alcotest.(check int) "commit inside the crossing joined" 40
+       r1.Profiler.commit_cycle;
      Alcotest.(check int) "late commit joined" 70 r2.Profiler.commit_cycle;
-     Alcotest.(check int) "uncommitted" (-1) r3.Profiler.commit_cycle
+     Alcotest.(check int) "uncommitted" (-1) r3.Profiler.commit_cycle;
+     Alcotest.(check int) "stall added" 9 r3.Profiler.stall_cycles;
+     Alcotest.(check int) "dropped commit" 0 r3.Profiler.nvm_lines
    | rs -> Alcotest.failf "expected 3 records, got %d" (List.length rs));
   (match Profiler.aggregate p with
    | [ a; b ] ->

@@ -227,46 +227,54 @@ let suite =
       test_emit_barrier_synchronizes;
   ]
 
+(* A session run with an enabled region profiler: its result and the
+   profiler's region log. *)
+let logged_run ?crash_at_instr compiled =
+  let log = Capri_obs.Profiler.create () in
+  let session =
+    Executor.start
+      ~obs:{ Capri_obs.Obs.null with regions = log }
+      ~program:compiled.Compiled.program
+      ~threads:[ Executor.main_thread compiled.Compiled.program ] ()
+  in
+  (Executor.run ?crash_at_instr session, log)
+
 let test_trace_records_regions () =
   let program, _ = Helpers.sum_program ~n:30 () in
   let compiled = compile program in
-  let tr = Capri_runtime.Trace.create () in
-  let session =
-    Executor.start ~trace:tr ~program:compiled.Compiled.program
-      ~threads:[ Executor.main_thread compiled.Compiled.program ] ()
-  in
-  (match Executor.run session with
+  let outcome, log = logged_run compiled in
+  (match outcome with
    | Executor.Finished r ->
-     Alcotest.(check int) "boundary events match" r.Executor.boundaries
-       (Capri_runtime.Trace.region_count tr ~core:0)
+     Alcotest.(check int) "boundary rows match" r.Executor.boundaries
+       (List.length
+          (List.filter
+             (fun (row : Capri_obs.Profiler.record) ->
+               row.core = 0 && row.boundary >= 0)
+             (Capri_obs.Profiler.crossings log)))
    | Executor.Crashed _ -> Alcotest.fail "unexpected crash");
-  let rendered = Capri_runtime.Trace.render tr in
+  let rendered = Capri_obs.Profiler.render_timeline log in
   Alcotest.(check bool) "renders" true (String.length rendered > 0);
-  (* crash events appear *)
-  let tr2 = Capri_runtime.Trace.create () in
-  let session2 =
-    Executor.start ~trace:tr2 ~program:compiled.Compiled.program
-      ~threads:[ Executor.main_thread compiled.Compiled.program ] ()
-  in
-  (match Executor.run ~crash_at_instr:20 session2 with
-   | Executor.Crashed _ -> ()
-   | Executor.Finished _ -> Alcotest.fail "expected crash");
-  Alcotest.(check bool) "crash recorded" true
-    (List.exists
-       (function
-         | Capri_runtime.Trace.Crashed _ -> true
-         | Capri_runtime.Trace.Boundary _ | Capri_runtime.Trace.Halted _ ->
-           false)
-       (Capri_runtime.Trace.events tr2))
+  (* a crash ends the log at the crash point *)
+  (match logged_run ~crash_at_instr:20 compiled with
+   | Executor.Crashed _, log ->
+     Alcotest.(check bool) "rows before the crash" true
+       (List.for_all
+          (fun (row : Capri_obs.Profiler.record) -> row.instr <= 20)
+          (Capri_obs.Profiler.crossings log))
+   | Executor.Finished _, _ -> Alcotest.fail "expected crash")
 
 let test_trace_render_truncation () =
-  let module Trace = Capri_runtime.Trace in
-  let tr = Trace.create () in
+  let module Profiler = Capri_obs.Profiler in
+  let cross p ~seq ~boundary ~cycle ~stores =
+    Profiler.on_region_close p ~core:0 ~seq ~boundary ~instr:cycle
+      ~closes:true ~region:"b0" ~instrs:1 ~stores ~ckpt_stores:0
+      ~stall_cycles:0 ~cycle
+  in
+  let p = Profiler.create () in
   for i = 0 to 99 do
-    Trace.record tr
-      (Trace.Boundary { core = 0; boundary = i; cycle = i; stores = 1; instr = i })
+    cross p ~seq:i ~boundary:i ~cycle:i ~stores:1
   done;
-  let rendered = Trace.render ~max_rows:10 tr in
+  let rendered = Profiler.render_timeline ~max_rows:10 p in
   let lines = String.split_on_char '\n' rendered in
   let last_line =
     List.fold_left (fun acc l -> if l <> "" then l else acc) "" lines
@@ -277,9 +285,9 @@ let test_trace_render_truncation () =
        (fun l -> String.length l > 2 && String.sub l 0 2 = "  ")
        lines);
   (* below the limit: no footer *)
-  let tr2 = Trace.create () in
-  Trace.record tr2 (Trace.Halted { core = 0; cycle = 5 });
-  let rendered2 = Trace.render ~max_rows:10 tr2 in
+  let p2 = Profiler.create () in
+  cross p2 ~seq:0 ~boundary:(-1) ~cycle:5 ~stores:0;
+  let rendered2 = Profiler.render_timeline ~max_rows:10 p2 in
   Alcotest.(check bool) "no footer when it fits" false
     (let needle = "more rows" in
      let n = String.length rendered2 and m = String.length needle in
@@ -288,11 +296,47 @@ let test_trace_render_truncation () =
      in
      found 0)
 
+(* Every commit Persist makes joins the crossing row it belongs to, in
+   every mode: a single-session run logs one row per boundary crossing
+   or halt, and exactly as many committed rows as commits. *)
+let test_region_log_joins_commits () =
+  List.iter
+    (fun name ->
+      let k = Capri_workloads.Suite.by_name ~scale:3 name in
+      let threads = k.Capri_workloads.Kernel.threads in
+      let compiled =
+        Pipeline.compile Options.default k.Capri_workloads.Kernel.program
+      in
+      List.iter
+        (fun mode ->
+          let ctx = name ^ " " ^ Persist.mode_name mode in
+          let log = Capri_obs.Profiler.create () in
+          let r =
+            Verify.reference ~mode
+              ~obs:{ Capri_obs.Obs.null with regions = log }
+              ~threads compiled
+          in
+          let rows = Capri_obs.Profiler.crossings log in
+          Alcotest.(check int) (ctx ^ ": crossing rows")
+            (r.Executor.boundaries + List.length threads)
+            (List.length rows);
+          Alcotest.(check int) (ctx ^ ": committed rows")
+            r.Executor.persist_stats.Persist.commits
+            (List.length
+               (List.filter
+                  (fun (row : Capri_obs.Profiler.record) ->
+                    row.commit_cycle >= 0)
+                  rows)))
+        Persist.all_modes)
+    [ "505.mcf_r"; "ocean"; "intruder" ]
+
 let suite = suite @ [
     Alcotest.test_case "trace records regions" `Quick
       test_trace_records_regions;
     Alcotest.test_case "trace render truncation" `Quick
       test_trace_render_truncation;
+    Alcotest.test_case "region log joins every commit" `Quick
+      test_region_log_joins_commits;
   ]
 
 (* Address-space layout with many disjoint heaps: shard tables and
